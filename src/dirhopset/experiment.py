@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Tuple
@@ -17,7 +18,7 @@ from .graph import EdgeSet, Graph, GraphFormatError, load_graph
 from .hopset import Instrumentation, hopset_unweighted, hopset_weighted
 from .parallel import phopset
 from .params import MODE_PRACTICAL, Params, derive_params
-from .verify import VerificationReport, check_hopset
+from .verify import VerificationReport, check_hopset, sample_sources
 
 
 class ExperimentError(RuntimeError):
@@ -85,6 +86,7 @@ def write_hopset(path: str, h: EdgeSet, sidecar: dict) -> None:
 
 def read_hopset(path: str) -> EdgeSet:
     out = EdgeSet()
+    inf = math.inf
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -93,7 +95,15 @@ def read_hopset(path: str) -> EdgeSet:
             parts = line.split()
             if len(parts) != 3:
                 raise GraphFormatError(f"{path}:{lineno}: expected 'u v w'")
-            out.add(int(parts[0]), int(parts[1]), float(parts[2]))
+            try:
+                u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: bad edge: {exc}") from exc
+            if not 0 <= w < inf:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: weight must be finite and >= 0: {w}")
+            out.add(u, v, w)
     return out
 
 
@@ -130,6 +140,12 @@ def run_experiment(cfg: ExperimentConfig
     except (OSError, ValueError) as exc:
         raise ExperimentError(f"graph: {exc}") from exc
 
+    if cfg.verify:
+        try:
+            sample_sources(g.n, cfg.verify)
+        except ValueError as exc:
+            raise ExperimentError(f"verify: {exc}") from exc
+
     try:
         params = derive_params(g.n, cfg.epsilon, cfg.k, cfg.lam,
                                cfg.mode, **cfg.overrides)
@@ -145,6 +161,10 @@ def run_experiment(cfg: ExperimentConfig
             h = read_hopset(cfg.hopset_path)
         except (OSError, GraphFormatError) as exc:
             raise ExperimentError(f"hopset: {exc}") from exc
+        for u, v in h.entries:
+            if not (0 <= u < g.n and 0 <= v < g.n):
+                raise ExperimentError(
+                    f"hopset: edge ({u},{v}) out of range for n={g.n}")
     else:
         raise ExperimentError("config: need an algorithm or a hopset file")
     build_seconds = time.perf_counter() - t0
@@ -182,6 +202,5 @@ def run_experiment(cfg: ExperimentConfig
             for row in report.pair_rows:
                 writer.writerow([row[0], row[1], repr(row[2]), repr(row[3]),
                                  repr(row[4])])
-    # stash build time where the CLI bench command can report it
-    report.build_seconds = build_seconds  # type: ignore[attr-defined]
+    report.build_seconds = build_seconds
     return report, (0 if report.ok else 1)

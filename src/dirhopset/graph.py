@@ -34,11 +34,14 @@ class Graph:
             rev: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
             # collapse parallel edges to minimum weight
             best: Dict[Tuple[int, int], float] = {}
+            inf = math.inf
             for u, v, w in edges:
                 if not (0 <= u < n and 0 <= v < n):
                     raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-                if w < 0:
-                    raise ValueError(f"negative weight on edge ({u},{v}): {w}")
+                if not 0 <= w < inf:
+                    raise ValueError(
+                        f"weight on edge ({u},{v}) must be finite and "
+                        f">= 0: {w}")
                 key = (u, v)
                 if key not in best or w < best[key]:
                     best[key] = w
@@ -141,7 +144,8 @@ def augment(g: Graph, h: EdgeSet) -> Graph:
 class InducedSubgraph:
     """Materialized subgraph on a vertex subset with local<->global id maps.
 
-    Local ids follow ascending global id order.
+    Local ids follow ascending global id order.  The subgraph on all
+    vertices shares the parent graph instead of copying it.
     """
 
     __slots__ = ("parent", "global_ids", "local_of", "graph")
@@ -153,6 +157,9 @@ class InducedSubgraph:
         self.parent = parent
         self.global_ids: List[int] = ids
         self.local_of: Dict[int, int] = {g_id: i for i, g_id in enumerate(ids)}
+        if len(ids) == parent.n:
+            self.graph = parent
+            return
         members = self.local_of
         edges = []
         for g_u in ids:
@@ -216,9 +223,9 @@ def load_graph(path: str) -> Graph:
             except ValueError as exc:
                 raise GraphFormatError(
                     f"{path}:{lineno}: bad edge: {exc}") from exc
-            if w < 0:
+            if not 0 <= w < math.inf:
                 raise GraphFormatError(
-                    f"{path}:{lineno}: negative weight {w}")
+                    f"{path}:{lineno}: weight must be finite and >= 0: {w}")
             n = header[0]
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(

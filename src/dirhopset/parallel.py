@@ -17,10 +17,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from . import rng as rngmod
 from .graph import EdgeSet, Graph, merge_min, induce
-from .hopset import (Instrumentation, RecursionFrame, assign_levels,
-                     hs_recurse, _emit_shortcuts)
+from .hopset import (Instrumentation, RecursionFrame, ShortcutSink,
+                     assign_levels, hs_recurse, _run_shortcutters)
 from .params import MODE_PAPER, Params
-from .search import BACKWARD, FORWARD, bounded_search
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,10 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
     """Rounded iterated hopset construction.
 
     Returns the accumulated hopset H; weights are quantized-and-scaled
-    overestimates of true distances, with scaled weights below 1 floored
-    to 0 (only zero-distance pairs can produce them after normalization).
+    overestimates of true distances.  Scaled weights below the lightest
+    positive weight of ``g`` are floored to 0: an overestimate that
+    light bounds a path with no positive edge, so the pair's distance
+    is 0.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
@@ -106,6 +107,7 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
     else:
         scales = range(scale_range[0], scale_range[1] + 1)
 
+    floor = g.min_positive_weight
     working = EdgeSet({(u, v): w for u, v, w in g.iter_edges()})
     hopset = EdgeSet()
     shortcut_radius = 8.0 * (1.0 + delta) * beta / delta
@@ -120,27 +122,21 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
                 continue
             levels = assign_levels(
                 n, params, rngmod.stream(seed, "plevel", sweep, i))
-            staged = EdgeSet()
+            sink = ShortcutSink(qg.graph, EdgeSet())
             full = induce(qg.graph, range(n))
-            for v in range(n):
-                if levels[v] <= params.L:
-                    fwd = bounded_search(qg.graph, v, shortcut_radius, FORWARD)
-                    _emit_shortcuts(staged, qg.graph, full, v,
-                                    fwd.reached, FORWARD)
-                    bwd = bounded_search(qg.graph, v, shortcut_radius,
-                                         BACKWARD)
-                    _emit_shortcuts(staged, qg.graph, full, v,
-                                    bwd.reached, BACKWARD)
+            _run_shortcutters(
+                sink, full, [v for v in range(n) if levels[v] <= params.L],
+                shortcut_radius)
 
             def sigma_rng(gid: int, _s=sweep, _i=i) -> random.Random:
                 return rngmod.stream(seed, "psigma", _s, _i, gid)
 
             hs_recurse(RecursionFrame(full, recurse_base, 0, "root"),
-                       levels, params, sigma_rng, staged, instr)
+                       levels, params, sigma_rng, sink.out, instr, sink)
             unit = scheme.unit
-            for (u, v), wq in staged.entries.items():
+            for (u, v), wq in sink.out.entries.items():
                 w = wq * unit
-                if w < 1.0:
+                if w < floor:
                     w = 0.0
                 hopset.add(u, v, w)
         working = merge_min(working, hopset)

@@ -86,6 +86,9 @@ class VerificationReport:
     per_level_counters: Dict[str, dict] = field(default_factory=dict)
     pair_rows: List[Tuple[int, int, float, float, float]] = \
         field(default_factory=list, repr=False)
+    # wall time of the build that produced the hopset; kept out of
+    # to_json() so reports stay byte-identical across runs
+    build_seconds: float = field(default=0.0, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -108,13 +111,17 @@ class VerificationReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _sample_sources(n: int, pair_sample, seed: int = 0) -> List[int]:
+def sample_sources(n: int, pair_sample, seed: int = 0) -> List[int]:
+    """Sources for ``pair_sample``: "all-pairs", "sampled:<s>" (s >= 1)
+    or None (all-pairs up to n = 256, else sampled:8)."""
     if pair_sample == "all-pairs" or (pair_sample is None and n <= 256):
         return list(range(n))
     if pair_sample is None:
         pair_sample = "sampled:8"
     if isinstance(pair_sample, str) and pair_sample.startswith("sampled:"):
         s = int(pair_sample.split(":", 1)[1])
+        if s < 1:
+            raise ValueError(f"need at least one sampled source, got {s}")
         rng = random.Random(seed)
         return sorted(rng.sample(range(n), min(s, n)))
     raise ValueError(f"unknown pair sampling strategy {pair_sample!r}")
@@ -152,7 +159,7 @@ def check_hopset(g: Graph, h: EdgeSet, beta: int, epsilon: float,
                     {"edge": [u, v], "weight": w, "distance": d})
 
     aug = augment(g, h)
-    sources = _sample_sources(g.n, pair_sample, seed)
+    sources = sample_sources(g.n, pair_sample, seed)
     for s in sources:
         true_d = oracle_distances(g, [s])[s]
         hop_d = hop_limited_distances(aug, s, beta).dist

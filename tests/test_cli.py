@@ -142,3 +142,39 @@ class TestRunExperiment:
         lines = open(csv_path).read().strip().splitlines()
         assert lines[0] == "source,target,true_dist,beta_dist,ratio"
         assert len(lines) == 1 + 8 * 9 // 2
+
+class TestMalformedInput:
+    """Malformed files and flags end in exit 2 with a JSON error."""
+
+    def expect_error(self, capsys, argv, fragment):
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert fragment in err["error"]
+
+    @pytest.mark.parametrize("w", ["nan", "inf"])
+    def test_non_finite_weight(self, tmp_path, capsys, w):
+        graph = tmp_path / "g.txt"
+        graph.write_text(f"3 2\n0 1 1.0\n1 2 {w}\n")
+        self.expect_error(capsys, ["build", "--graph", str(graph),
+                                   "--mode", "practical", "--lambda", "1",
+                                   "--algorithm", "weighted"], "graph:")
+
+    @pytest.mark.parametrize("line", ["0 7 3.0", "-1 2 3.0", "0 4 nan",
+                                      "0 4 -1", "0 4 x"])
+    def test_bad_hopset_line(self, tmp_path, capsys, line):
+        graph, bad = str(tmp_path / "g.txt"), str(tmp_path / "h.txt")
+        cli.main(["gen", "--family", "path", "--n", "5", "--out", graph])
+        with open(bad, "w") as fh:
+            fh.write(line + "\n")
+        self.expect_error(capsys, ["verify", "--graph", graph,
+                                   "--hopset", bad], "hopset:")
+
+    @pytest.mark.parametrize("spec", ["sampled:x", "sampled:0",
+                                      "sampled:-2", "some"])
+    def test_bad_pair_sample(self, tmp_path, capsys, spec):
+        graph, out = str(tmp_path / "g.txt"), str(tmp_path / "h.txt")
+        cli.main(["gen", "--family", "path", "--n", "5", "--out", graph])
+        write_hopset(out, EdgeSet({(0, 2): 2.0}), {"n": 5})
+        self.expect_error(capsys, ["verify", "--graph", graph,
+                                   "--hopset", out, "--verify", spec],
+                          "verify:")

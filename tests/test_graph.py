@@ -37,6 +37,11 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError):
             load_graph(write(tmp_path, "2 1\n0 1 -3\n"))
 
+    @pytest.mark.parametrize("w", ["nan", "inf", "-inf"])
+    def test_non_finite_weight(self, tmp_path, w):
+        with pytest.raises(GraphFormatError):
+            load_graph(write(tmp_path, f"2 1\n0 1 {w}\n"))
+
     def test_bad_header(self, tmp_path):
         with pytest.raises(GraphFormatError):
             load_graph(write(tmp_path, "2\n"))
@@ -70,6 +75,11 @@ class TestGraph:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Graph(2, [(0, 1, -1.0)])
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, w):
+        with pytest.raises(ValueError):
+            Graph(2, [(0, 1, w)])
 
     def test_weight_stats(self):
         g = Graph(3, [(0, 1, 0.0), (1, 2, 4.0), (0, 2, 2.0)])
@@ -111,6 +121,7 @@ class TestInduce:
         sub = induce(g, range(4))
         assert sorted(sub.graph.iter_edges()) == sorted(g.iter_edges())
         assert sub.is_full
+        assert sub.graph is g  # shared, not copied
 
     def test_roundtrip_ids(self):
         g = Graph(10, [(1, 5, 1.0)])

@@ -105,6 +105,19 @@ class TestPhopset:
         assert beta_dist < math.inf
         assert beta_dist <= 1.5 * (n - 1)
 
+    def test_fractional_weights_not_floored(self):
+        # shortcuts lighter than 1 but not than the lightest positive
+        # edge join pairs at positive distance and must keep their weight
+        g = Graph(3, [(0, 1, 0.3), (1, 2, 0.3)])
+        h = phopset(g, practical(3), delta=0.2, seed=0, beta=4.0, sweeps=2)
+        assert (0, 2) in h.entries
+        assert h.entries[(0, 2)] >= 0.6 - 1e-9
+
+    def test_zero_distance_pairs_floored(self):
+        g = Graph(3, [(0, 1, 0.0), (1, 2, 0.0), (2, 0, 0.5)])
+        h = phopset(g, practical(3), delta=0.2, seed=0, beta=4.0, sweeps=2)
+        assert h.entries.get((0, 2)) == 0.0
+
     def test_deterministic(self):
         rng = random.Random(3)
         g = Graph(20, random_edges(20, 50, 3, rng))

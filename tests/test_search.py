@@ -2,11 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dirhopset import search as searchmod
 from dirhopset.graph import Graph, transpose_view
 from dirhopset.params import derive_params
-from dirhopset.search import (BACKWARD, FORWARD, bounded_search, related_set,
-                              select_radius, select_radius_with_searches)
+from dirhopset.search import (BACKWARD, FORWARD, SearchMemo, bounded_search,
+                              related_set, select_radius,
+                              select_radius_with_searches)
 
 from oracles import dijkstra, floyd_warshall, random_edges
 
@@ -165,3 +168,64 @@ class TestSelectRadius:
         with pytest.raises(ValueError):
             select_radius(Graph(2, []), 0, 0.0, practical(8),
                           random.Random(0))
+
+
+weights = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1.7, 2.25, 3.0])
+radii = st.one_of(st.sampled_from([0.0, 0.3, 0.6, 1.0, 2.5, math.inf]),
+                  st.floats(0.0, 8.0))
+
+
+@st.composite
+def memo_cases(draw):
+    n = draw(st.integers(1, 8))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1), weights),
+                          max_size=20))
+    requests = draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.sampled_from([FORWARD, BACKWARD]), radii),
+        min_size=1, max_size=12))
+    return Graph(n, edges), requests
+
+
+class TestSearchMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(memo_cases())
+    def test_answers_equal_fresh_searches(self, case):
+        g, requests = case
+        memo = SearchMemo(g)
+        for s, direction, d in requests:
+            got = memo.search(s, d, direction)
+            fresh = bounded_search(g, s, d, direction)
+            full = bounded_search(g, s, math.inf, direction).reached
+            assert got.reached == fresh.reached
+            assert all(math.copysign(1.0, x) == math.copysign(1.0, y)
+                       for x, y in zip(got.reached.values(),
+                                       (fresh.reached[v]
+                                        for v in got.reached)))
+            assert (got.source, got.bound, got.direction) == \
+                (s, d, direction)
+            assert got.complete == (got.reached == full)
+            assert fresh.complete == (fresh.reached == full)
+
+    def test_searches_only_on_miss(self, monkeypatch):
+        calls = []
+
+        def counting(g, source, d, direction=FORWARD):
+            calls.append((source, d, direction))
+            return bounded_search(g, source, d, direction)
+
+        monkeypatch.setattr(searchmod, "bounded_search", counting)
+        g = path_graph(6)
+        memo = SearchMemo(g)
+        assert memo.search(0, 3.0).reached == {0: 0.0, 1: 1.0, 2: 2.0,
+                                               3: 3.0}
+        assert memo.search(0, 1.5).reached == {0: 0.0, 1: 1.0}
+        assert memo.search(0, 3.0, BACKWARD).reached == {0: 0.0}
+        assert len(calls) == 2
+        memo.search(0, 4.0)  # beyond an incomplete search: a miss
+        assert len(calls) == 3
+        complete = memo.search(0, math.inf)
+        assert complete.complete and len(calls) == 4
+        assert memo.search(0, 100.0).complete  # served by the complete one
+        assert memo.search(3, 2.0, BACKWARD).complete is False
+        assert len(calls) == 5

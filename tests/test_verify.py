@@ -1,11 +1,13 @@
+import json
 import math
 import random
 
 import pytest
 
 from dirhopset.graph import EdgeSet, Graph
-from dirhopset.verify import (check_hopset, hop_limited_distances,
-                              measure_hopbound, oracle_distances)
+from dirhopset.verify import (VerificationReport, check_hopset,
+                              hop_limited_distances, measure_hopbound,
+                              oracle_distances)
 
 from oracles import dijkstra, hop_dp, random_edges
 
@@ -159,3 +161,11 @@ class TestMeasureHopbound:
         h = EdgeSet({(0, 8): 9.0})  # 12.5% overestimate
         assert measure_hopbound(g, h, 0.0, [(0, 8)]) == 8
         assert measure_hopbound(g, h, 0.2, [(0, 8)]) == 1
+
+
+def test_build_seconds_kept_out_of_json():
+    report = VerificationReport(hopset_size=1)
+    before = report.to_json()
+    report.build_seconds = 2.5
+    assert report.to_json() == before
+    assert "build_seconds" not in json.loads(before)
