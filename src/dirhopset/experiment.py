@@ -165,6 +165,8 @@ def run_experiment(cfg: ExperimentConfig
             if not (0 <= u < g.n and 0 <= v < g.n):
                 raise ExperimentError(
                     f"hopset: edge ({u},{v}) out of range for n={g.n}")
+        if g.scale != 1.0:  # the file is in the graph file's units
+            h = EdgeSet({key: w * g.scale for key, w in h.entries.items()})
     else:
         raise ExperimentError("config: need an algorithm or a hopset file")
     build_seconds = time.perf_counter() - t0
@@ -178,7 +180,11 @@ def run_experiment(cfg: ExperimentConfig
         if cfg.algorithm == "parallel":
             sidecar.update({"delta": cfg.delta, "beta": cfg.beta,
                             "sweeps": cfg.sweeps})
-        write_hopset(cfg.out, h, sidecar)
+        out_h = h
+        if g.scale != 1.0:  # back to the graph file's units
+            out_h = EdgeSet({key: w / g.scale
+                             for key, w in h.entries.items()})
+        write_hopset(cfg.out, out_h, sidecar)
 
     if cfg.verify:
         beta = cfg.verify_beta if cfg.verify_beta else max(1, g.n - 1)

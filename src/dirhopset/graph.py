@@ -23,32 +23,28 @@ class Graph:
                  "scale", "_edge_map")
 
     def __init__(self, n: int, edges: Iterable[Edge] = (), *,
-                 scale: float = 1.0,
-                 _adj: Optional[Tuple[list, list]] = None):
+                 scale: float = 1.0):
         self.n = n
         self.scale = scale
-        if _adj is not None:
-            self.fwd, self.rev = _adj
-        else:
-            fwd: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
-            rev: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
-            # collapse parallel edges to minimum weight
-            best: Dict[Tuple[int, int], float] = {}
-            inf = math.inf
-            for u, v, w in edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-                if not 0 <= w < inf:
-                    raise ValueError(
-                        f"weight on edge ({u},{v}) must be finite and "
-                        f">= 0: {w}")
-                key = (u, v)
-                if key not in best or w < best[key]:
-                    best[key] = w
-            for (u, v), w in sorted(best.items()):
-                fwd[u].append((v, w))
-                rev[v].append((u, w))
-            self.fwd, self.rev = fwd, rev
+        fwd: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
+        rev: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
+        # collapse parallel edges to minimum weight
+        best: Dict[Tuple[int, int], float] = {}
+        inf = math.inf
+        for u, v, w in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            if not 0 <= w < inf:
+                raise ValueError(
+                    f"weight on edge ({u},{v}) must be finite and "
+                    f">= 0: {w}")
+            key = (u, v)
+            if key not in best or w < best[key]:
+                best[key] = w
+        for (u, v), w in sorted(best.items()):
+            fwd[u].append((v, w))
+            rev[v].append((u, w))
+        self.fwd, self.rev = fwd, rev
         self.max_weight = 0.0
         self.min_positive_weight = math.inf
         for nbrs in self.fwd:

@@ -1,8 +1,10 @@
 """Hopset consumption and verification.
 
-Hop-limited distances come from exactly beta rounds of synchronous
-edge relaxation (two alternating vectors, so "<= beta hops" is exact);
-the exact oracle is per-source Dijkstra.
+Hop-limited distances come from synchronous edge relaxation over
+numpy arrays of G (and H), built once per call: each round takes, for
+every row of sources at once, the minimum over each vertex's incoming
+edges, so after round r a row holds exactly the "<= r hops" distances.
+The exact oracle is per-source Dijkstra.
 """
 from __future__ import annotations
 
@@ -10,14 +12,15 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import EdgeSet, Graph, augment
+from .graph import EdgeSet, Graph
 from .search import FORWARD, bounded_search
 
 INF = math.inf
+BLOCK = 8  # sources relaxed together; bounds the rows x |E| scratch matrix
 
 
 @dataclass
@@ -27,15 +30,84 @@ class HopLimitedDistances:
     dist: List[float]
 
 
-def _edge_arrays(g: Graph):
-    src, dst, w = [], [], []
-    for u, v, wt in g.iter_edges():
-        src.append(u)
-        dst.append(v)
-        w.append(wt)
-    return (np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64),
-            np.asarray(w, dtype=np.float64))
+class _EdgeArrays:
+    """Edges of G, then the hopset's (from ``_hopset_arrays``), stably
+    sorted by head.
+
+    Parallel edges are kept: a round keeps the lighter candidate, and
+    fl(d + min(a, b)) = min(fl(d + a), fl(d + b)), so no min-merge is
+    needed.
+    """
+
+    __slots__ = ("n", "src", "w", "heads", "starts")
+
+    def __init__(self, g: Graph, h_uv: Optional[np.ndarray] = None,
+                 h_w: Optional[np.ndarray] = None):
+        flat = [e for nbrs in g.fwd for e in nbrs]
+        src = np.repeat(np.arange(g.n, dtype=np.int64),
+                        [len(nbrs) for nbrs in g.fwd])
+        gvw = np.array(flat, dtype=np.float64).reshape(-1, 2)
+        dst = gvw[:, 0].astype(np.int64)
+        w = gvw[:, 1]
+        if h_uv is not None:
+            src = np.concatenate([src, h_uv[:, 0]])
+            dst = np.concatenate([dst, h_uv[:, 1]])
+            w = np.concatenate([w, h_w])
+        order = np.argsort(dst, kind="stable")
+        self.n = g.n
+        self.src = src[order]
+        self.w = w[order]
+        self.heads, self.starts = np.unique(dst[order], return_index=True)
+
+
+def _hopset_arrays(n: int, h: EdgeSet) -> Tuple[np.ndarray, np.ndarray]:
+    """(k, 2) endpoints and k weights of ``h``; ValueError for an
+    endpoint outside [0, n) or a weight that is not finite and >= 0."""
+    uv = np.array(list(h.entries), dtype=np.int64).reshape(-1, 2)
+    w = np.fromiter(h.entries.values(), dtype=np.float64, count=len(h))
+    bad = ((uv < 0) | (uv >= n)).any(axis=1)
+    if bad.any():
+        u, v = uv[np.argmax(bad)].tolist()
+        raise ValueError(f"hopset endpoint ({u},{v}) out of range")
+    bad = ~((w >= 0) & (w < INF))
+    if bad.any():
+        i = int(np.argmax(bad))
+        u, v = uv[i].tolist()
+        raise ValueError(f"weight on edge ({u},{v}) must be finite and "
+                         f">= 0: {w[i]}")
+    return uv, w
+
+
+def _relax_rounds(edges: _EdgeArrays, sources: Sequence[int],
+                  beta: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """Distances from ``sources``, one row each, after rounds 0, 1, ...
+
+    Yields (round, dist) after round 0 and after every round up to
+    ``beta`` that changes some row; a round that changes none is a
+    fixpoint and ends the iteration.  ``dist`` is updated in place, so
+    read it before advancing.
+    """
+    dist = np.full((len(sources), edges.n), np.inf)
+    dist[np.arange(len(sources)), sources] = 0.0
+    yield 0, dist
+    heads = edges.heads
+    for rnd in range(1, beta + 1):
+        cand = dist[:, edges.src]
+        cand += edges.w
+        best = np.minimum.reduceat(cand, edges.starts, axis=1)
+        cur = dist[:, heads]
+        if not (best < cur).any():
+            return
+        dist[:, heads] = np.minimum(cur, best)
+        yield rnd, dist
+
+
+def _hop_limited(edges: _EdgeArrays, sources: Sequence[int],
+                 beta: int) -> np.ndarray:
+    """Rows of "<= beta hops" distances from ``sources``."""
+    for _, dist in _relax_rounds(edges, sources, beta):
+        pass
+    return dist
 
 
 def hop_limited_distances(g: Graph, source: int,
@@ -45,19 +117,8 @@ def hop_limited_distances(g: Graph, source: int,
         raise ValueError("beta must be >= 0")
     if not (0 <= source < g.n):
         raise ValueError(f"invalid source {source}")
-    dist = np.full(g.n, np.inf)
-    dist[source] = 0.0
-    src, dst, w = _edge_arrays(g)
-    if len(src) == 0:
-        return HopLimitedDistances(source, beta, dist.tolist())
-    for _ in range(beta):
-        cand = dist[src] + w
-        nxt = dist.copy()
-        np.minimum.at(nxt, dst, cand)
-        if np.array_equal(nxt, dist):
-            break
-        dist = nxt
-    return HopLimitedDistances(source, beta, dist.tolist())
+    dist = _hop_limited(_EdgeArrays(g), [source], beta)
+    return HopLimitedDistances(source, beta, dist[0].tolist())
 
 
 def oracle_distances(g: Graph, sources: Iterable[int]
@@ -134,103 +195,127 @@ def check_hopset(g: Graph, h: EdgeSet, beta: int, epsilon: float,
     """Validity plus sampled (beta, epsilon) contract check.
 
     Validity: every hopset edge weight must be >= the exact distance.
-    For each sampled pair: oracle <= beta-hop distance in the augmented
-    graph; ratios against (1 + epsilon) (or ``ratio_bound``) recorded.
+    For each sampled pair: oracle <= beta-hop distance in G + H; ratios
+    against (1 + epsilon) (or ``ratio_bound``) recorded.  Raises
+    ValueError for beta < 1, a hopset endpoint outside [0, n) or a
+    hopset weight that is not finite and >= 0.
     """
     if beta < 1:
         raise ValueError("beta must be >= 1")
+    h_uv, h_w = _hopset_arrays(g.n, h)
+    edges = _EdgeArrays(g, h_uv, h_w)
     report = VerificationReport(beta_used=beta, hopset_size=len(h))
     bound = ratio_bound if ratio_bound is not None else 1.0 + epsilon
     tol = 1e-9
 
-    by_source: Dict[int, List[Tuple[int, float]]] = {}
-    for (u, v), w in h.entries.items():
-        by_source.setdefault(u, []).append((v, w))
-    for u, targets in sorted(by_source.items()):
-        dist = oracle_distances(g, [u])[u]
-        for v, w in targets:
-            d = dist[v]
-            if d == INF:
-                report.validity_violations.append(
-                    {"edge": [u, v], "weight": w, "distance": None,
-                     "reason": "edge between unreachable pair"})
-            elif w < d - tol * max(1.0, d):
-                report.validity_violations.append(
-                    {"edge": [u, v], "weight": w, "distance": d})
-
-    aug = augment(g, h)
-    sources = sample_sources(g.n, pair_sample, seed)
-    for s in sources:
-        true_d = oracle_distances(g, [s])[s]
-        hop_d = hop_limited_distances(aug, s, beta).dist
-        for v in range(g.n):
-            td, hd = true_d[v], hop_d[v]
-            if td == INF:
-                report.infinite_pairs += 1
-                if hd < INF:
-                    report.reachability_violations.append(
-                        {"pair": [s, v], "beta_dist": hd})
-                continue
-            report.pairs_checked += 1
-            if collect_pairs:
-                ratio_val = hd / td if td > 0 else (1.0 if hd <= tol else INF)
-                report.pair_rows.append((s, v, td, hd, ratio_val))
-            if hd < td - tol * max(1.0, td):
-                report.validity_violations.append(
-                    {"pair": [s, v], "beta_dist": hd, "distance": td,
-                     "reason": "beta-hop distance below truth"})
-                continue
-            if td == 0:
-                if hd > tol:
+    def classify(block: List[Tuple[int, List[float]]]) -> None:
+        """Record the pairs (s, v) of a block of (s, Dijkstra row)."""
+        hop_rows = _hop_limited(edges, [s for s, _ in block], beta).tolist()
+        for (s, true_d), hop_d in zip(block, hop_rows):
+            for v, (td, hd) in enumerate(zip(true_d, hop_d)):
+                if td == INF:
+                    report.infinite_pairs += 1
+                    if hd < INF:
+                        report.reachability_violations.append(
+                            {"pair": [s, v], "beta_dist": hd})
+                    continue
+                report.pairs_checked += 1
+                if collect_pairs:
+                    ratio_val = (hd / td if td > 0
+                                 else (1.0 if hd <= tol else INF))
+                    report.pair_rows.append((s, v, td, hd, ratio_val))
+                if hd < td - tol * max(1.0, td):
+                    report.validity_violations.append(
+                        {"pair": [s, v], "beta_dist": hd, "distance": td,
+                         "reason": "beta-hop distance below truth"})
+                    continue
+                if td == 0:
+                    if hd > tol:
+                        report.ratio_violations.append(
+                            {"pair": [s, v], "beta_dist": hd,
+                             "distance": 0.0})
+                    continue
+                ratio = hd / td
+                if ratio > report.max_ratio:
+                    report.max_ratio = ratio
+                if ratio > bound + tol:
                     report.ratio_violations.append(
-                        {"pair": [s, v], "beta_dist": hd, "distance": 0.0})
-                continue
-            ratio = hd / td
-            if ratio > report.max_ratio:
-                report.max_ratio = ratio
-            if ratio > bound + tol:
-                report.ratio_violations.append(
-                    {"pair": [s, v], "beta_dist": hd, "distance": td,
-                     "ratio": ratio})
+                        {"pair": [s, v], "beta_dist": hd, "distance": td,
+                         "ratio": ratio})
+
+    # One Dijkstra per hopset or sampled source, in ascending order.  A
+    # hopset source's entries are checked in h's order; sampled sources
+    # are classified BLOCK at a time, so few rows are held at once.
+    order = np.argsort(h_uv[:, 0], kind="stable")
+    tails, firsts = np.unique(h_uv[order, 0], return_index=True)
+    entries = dict(zip(tails.tolist(), np.split(order, firsts[1:])))
+    sampled = set(sample_sources(g.n, pair_sample, seed))
+    edge_violations: List[dict] = []
+    block: List[Tuple[int, List[float]]] = []
+    for u in sorted(sampled.union(entries)):
+        dist = oracle_distances(g, [u])[u]
+        idx = entries.get(u)
+        if idx is not None:
+            d = np.array(dist)[h_uv[idx, 1]]
+            unreachable = d == INF
+            d_fin = np.where(unreachable, 0.0, d)
+            light = h_w[idx] < d_fin - tol * np.maximum(1.0, d_fin)
+            for i in idx[unreachable | light].tolist():
+                v, w = int(h_uv[i, 1]), float(h_w[i])
+                if dist[v] == INF:
+                    edge_violations.append(
+                        {"edge": [u, v], "weight": w, "distance": None,
+                         "reason": "edge between unreachable pair"})
+                else:
+                    edge_violations.append(
+                        {"edge": [u, v], "weight": w, "distance": dist[v]})
+        if u in sampled:
+            block.append((u, dist))
+            if len(block) == BLOCK:
+                classify(block)
+                block = []
+    if block:
+        classify(block)
+    # hopset edges first, then sampled pairs
+    report.validity_violations[:0] = edge_violations
     return report
 
 
 def measure_hopbound(g: Graph, h: EdgeSet, epsilon: float,
                      pairs: Sequence[Tuple[int, int]]) -> int:
-    """Smallest beta satisfying the (1 + epsilon) bound on all pairs.
+    """Smallest beta >= 1 satisfying the (1 + epsilon) bound on all pairs.
 
-    Doubling then binary search on beta, using hop-limited relaxation in
-    the augmented graph.  Pairs unreachable in g are ignored.
+    One relaxation to the fixpoint per block of sources: beta is the
+    largest, over the pairs, of the first round whose estimate is within
+    the bound, since hop-limited distances never grow with beta.  Pairs
+    unreachable in g are ignored; ValueError if some pair misses the
+    bound even at the fixpoint.
     """
-    aug = augment(g, h)
+    edges = _EdgeArrays(g, *_hopset_arrays(g.n, h))
     sources = sorted({u for u, _ in pairs})
     true_d = oracle_distances(g, sources)
     targets: Dict[int, List[int]] = {}
     for u, v in pairs:
         targets.setdefault(u, []).append(v)
     tol = 1e-9
-
-    def satisfied(beta: int) -> bool:
-        for u, vs in targets.items():
-            hop_d = hop_limited_distances(aug, u, beta).dist
-            for v in vs:
+    beta = 1
+    for lo in range(0, len(sources), BLOCK):
+        block = sources[lo:lo + BLOCK]
+        rows, cols, limits = [], [], []
+        for i, u in enumerate(block):
+            for v in targets[u]:
                 td = true_d[u][v]
-                if td == INF:
-                    continue
-                if hop_d[v] > (1.0 + epsilon) * td + tol:
-                    return False
-        return True
-
-    hi = 1
-    while not satisfied(hi):
-        hi *= 2
-        if hi > max(2, 2 * g.n):
-            raise ValueError("no beta satisfies the bound; hopset invalid?")
-    lo = hi // 2 if hi > 1 else 0
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if satisfied(mid):
-            hi = mid
+                if td != INF:
+                    rows.append(i)
+                    cols.append(v)
+                    limits.append((1.0 + epsilon) * td + tol)
+        pending = np.ones(len(rows), dtype=bool)
+        limit = np.array(limits, dtype=np.float64)
+        for rnd, dist in _relax_rounds(edges, block, g.n):
+            pending &= dist[rows, cols] > limit
+            if not pending.any():
+                beta = max(beta, rnd)
+                break
         else:
-            lo = mid
-    return hi
+            raise ValueError("no beta satisfies the bound; hopset invalid?")
+    return beta

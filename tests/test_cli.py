@@ -59,6 +59,19 @@ class TestBuildVerify:
         assert cli.main(["verify", "--graph", graph, "--hopset", bad,
                          "--epsilon", "0"]) != 0
 
+    def test_hopset_in_input_units(self, tmp_path):
+        graph, out = str(tmp_path / "g.txt"), str(tmp_path / "h.txt")
+        with open(graph, "w") as fh:
+            fh.write("3 2\n0 1 0.5\n1 2 0.5\n")
+        assert cli.main(["build", "--graph", graph, "--algorithm",
+                         "weighted", "--out", out,
+                         "--verify", "all-pairs"]) == 0
+        assert open(out).read() == "0 2 1.0\n"
+        assert cli.main(["verify", "--graph", graph, "--hopset", out]) == 0
+        with open(out, "w") as fh:
+            fh.write("0 2 0.9\n")  # lighter than the distance 1.0
+        assert cli.main(["verify", "--graph", graph, "--hopset", out]) == 1
+
     def test_rerun_byte_identical(self, tmp_path):
         outs, reports = [], []
         for name in ("1", "2"):
@@ -84,6 +97,25 @@ class TestBuildVerify:
         sidecar = json.loads(open(out + ".json").read())
         assert sidecar["algorithm"] == "parallel"
         assert sidecar["delta"] == 0.2
+
+
+class TestBench:
+    def test_times_build_and_verify_apart(self, tmp_path, capsys):
+        out_csv = str(tmp_path / "bench.csv")
+        assert cli.main(["bench", "--family", "path", "--sizes", "8,12",
+                         "--epsilon", "0", "--mode", "practical",
+                         "--lambda", "1", "--out-csv", out_csv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["n=8", "n=12"]
+        assert all("build_seconds=" in line and "verify_seconds=" in line
+                   for line in lines)
+        rows = open(out_csv).read().splitlines()
+        assert rows[0] == ("n,hopset_size,max_ratio,build_seconds,"
+                           "verify_seconds")
+        for row, n in zip(rows[1:], (8, 12)):
+            fields = row.split(",")
+            assert int(fields[0]) == n and float(fields[2]) == 1.0
+            assert float(fields[3]) >= 0 and float(fields[4]) >= 0
 
 
 class TestConfig:

@@ -3,9 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirhopset.graph import EdgeSet, Graph
-from dirhopset.verify import (VerificationReport, check_hopset,
+from dirhopset.verify import (VerificationReport, _EdgeArrays,
+                              _hop_limited, _hopset_arrays, check_hopset,
                               hop_limited_distances, measure_hopbound,
                               oracle_distances)
 
@@ -126,6 +128,14 @@ class TestCheckHopset:
         assert rep.ok
         assert rep.pairs_checked <= 4 * 20
 
+    @pytest.mark.parametrize("entries", [
+        {(0, 9): 1.0}, {(9, 0): 1.0}, {(-1, 2): 1.0}, {(1, -3): 1.0},
+        {(0, 2): math.nan}, {(0, 2): INF}, {(0, 1): INF}, {(0, 2): -1.0}])
+    def test_bad_hopset_rejected(self, entries):
+        with pytest.raises(ValueError):
+            check_hopset(path_graph(4), EdgeSet(entries), beta=3,
+                         epsilon=0.0)
+
     def test_json_roundtrip_stable(self):
         g = path_graph(6)
         a = check_hopset(g, EdgeSet(), beta=5, epsilon=0.0).to_json()
@@ -161,6 +171,63 @@ class TestMeasureHopbound:
         h = EdgeSet({(0, 8): 9.0})  # 12.5% overestimate
         assert measure_hopbound(g, h, 0.0, [(0, 8)]) == 8
         assert measure_hopbound(g, h, 0.2, [(0, 8)]) == 1
+
+
+@st.composite
+def graph_and_hopset(draw):
+    """Small graph and hopset with zero and fractional weights; the hopset
+    may repeat g's edges with other weights."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    weight = st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.7, 1.0, 1.5, 3.0])
+    edges = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=16))
+    h = EdgeSet()
+    for u, v, w in draw(st.lists(st.tuples(vertex, vertex, weight),
+                                 max_size=10)):
+        h.add(u, v, w)
+    for u, v, w in draw(st.lists(st.sampled_from(edges), max_size=4)
+                        if edges else st.just([])):
+        h.add(u, v, w + draw(weight))
+    return n, edges, h
+
+
+class TestKernelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(graph_and_hopset(), st.data())
+    def test_batched_rows_equal_dp(self, case, data):
+        n, edges, h = case
+        beta = data.draw(st.integers(0, n))
+        sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                     max_size=9))
+        aug = edges + list(h)
+        arrays = _EdgeArrays(Graph(n, edges), *_hopset_arrays(n, h))
+        rows = _hop_limited(arrays, sources, beta).tolist()
+        for s, row in zip(sources, rows):
+            assert row == hop_dp(n, aug, s, beta)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph_and_hopset(), st.sampled_from([-0.2, 0.0, 0.1, 0.5]),
+           st.data())
+    def test_measure_hopbound_equals_brute_force(self, case, epsilon, data):
+        n, edges, h = case
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)),
+                                   max_size=12))
+        g = Graph(n, edges)
+        aug = edges + list(h)
+        truth = {u: dijkstra(n, list(g.iter_edges()), u) for u, _ in pairs}
+
+        def satisfied(beta):
+            return all(hop_dp(n, aug, u, beta)[v]
+                       <= (1.0 + epsilon) * truth[u][v] + 1e-9
+                       for u, v in pairs if truth[u][v] < INF)
+
+        expected = next((b for b in range(1, n + 1) if satisfied(b)), None)
+        if expected is None:
+            with pytest.raises(ValueError):
+                measure_hopbound(g, h, epsilon, pairs)
+        else:
+            assert measure_hopbound(g, h, epsilon, pairs) == expected
 
 
 def test_build_seconds_kept_out_of_json():
