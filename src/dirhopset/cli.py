@@ -15,12 +15,18 @@ from .params import MODE_PAPER, MODE_PRACTICAL
 
 def _load_config_file(path: str) -> dict:
     """JSON config, or simple key=value lines (values parsed as JSON when
-    possible)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    possible).  ExperimentError if the file cannot be read or parsed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ExperimentError(f"config: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return json.loads(text)
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ExperimentError(f"config: {path}: {exc}") from exc
     data = {}
     for line in text.splitlines():
         line = line.strip()
@@ -89,10 +95,13 @@ def _config_from_args(args: argparse.Namespace,
         data["overrides"] = overrides
     sr = getattr(args, "scale_range", None)
     if sr is not None:
-        if isinstance(sr, str):
-            lo, _, hi = sr.partition(":")
-            sr = (int(lo), int(hi))
-        data["scale_range"] = tuple(sr)
+        lo, _, hi = sr.partition(":")
+        try:
+            data["scale_range"] = (int(lo), int(hi))
+        except ValueError:
+            raise ExperimentError(
+                f"config: --scale-range must be 'lo:hi', got {sr!r}"
+            ) from None
     return ExperimentConfig.from_dict(data)
 
 

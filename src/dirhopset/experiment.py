@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 from .generate import generate
 from .graph import EdgeSet, Graph, GraphFormatError, load_graph
 from .hopset import Instrumentation, hopset_unweighted, hopset_weighted
-from .parallel import phopset
+from .parallel import check_rounding, phopset
 from .params import MODE_PRACTICAL, Params, derive_params
 from .verify import VerificationReport, check_hopset, sample_sources
 
@@ -107,6 +107,18 @@ def read_hopset(path: str) -> EdgeSet:
     return out
 
 
+def _to_input_units(report: VerificationReport, scale: float) -> None:
+    """Divide the report's distances and weights by ``scale`` in place;
+    ratios stay as they are."""
+    for entry in (report.validity_violations + report.ratio_violations
+                  + report.reachability_violations):
+        for key in ("beta_dist", "distance", "weight"):
+            if entry.get(key) is not None:
+                entry[key] /= scale
+    report.pair_rows = [(s, v, td / scale, hd / scale, ratio)
+                        for s, v, td, hd, ratio in report.pair_rows]
+
+
 def _load_or_generate(cfg: ExperimentConfig) -> Graph:
     if cfg.graph_path:
         return load_graph(cfg.graph_path)
@@ -149,6 +161,8 @@ def run_experiment(cfg: ExperimentConfig
     try:
         params = derive_params(g.n, cfg.epsilon, cfg.k, cfg.lam,
                                cfg.mode, **cfg.overrides)
+        if cfg.algorithm == "parallel":
+            check_rounding(cfg.delta, cfg.beta)
     except ValueError as exc:
         raise ExperimentError(f"params: {exc}") from exc
 
@@ -192,6 +206,8 @@ def run_experiment(cfg: ExperimentConfig
                               pair_sample=cfg.verify, seed=cfg.seed,
                               ratio_bound=cfg.ratio_bound,
                               collect_pairs=bool(cfg.csv_path))
+        if g.scale != 1.0:  # back to the graph file's units
+            _to_input_units(report, g.scale)
     else:
         report = VerificationReport(hopset_size=len(h))
     report.per_level_counters = instr.to_dict()

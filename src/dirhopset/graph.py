@@ -1,26 +1,63 @@
 """Directed weighted graph, induced subgraphs, and min-merge edge sets.
 
 The graph is stored as forward and reverse adjacency lists over dense
-0-based vertex ids.  Graphs are immutable after construction; EdgeSet is
-the single mutable accumulator used to collect hopset edges.
+0-based vertex ids, and as (u, v, w) numpy arrays sorted by (u, v).
+``Graph(n, edges)`` builds the lists with a Python loop, which is the
+cheaper way for small graphs; ``Graph.from_arrays`` validates and
+min-merges with numpy and builds each list on first use.  Graphs are
+immutable after construction; EdgeSet is the single mutable accumulator
+used to collect hopset edges.
 """
 from __future__ import annotations
 
 import math
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 Edge = Tuple[int, int, float]
+EdgeArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class GraphFormatError(ValueError):
     """Raised when an edge-list file fails to parse."""
 
 
-class Graph:
-    """Immutable directed graph with nonnegative real edge weights."""
+def merge_min_arrays(n: int, u: np.ndarray, v: np.ndarray,
+                     w: np.ndarray) -> EdgeArrays:
+    """The edges on ``n`` vertices sorted by (u, v), each pair once at
+    its minimum weight.
 
-    __slots__ = ("n", "fwd", "rev", "max_weight", "min_positive_weight",
-                 "scale", "_edge_map")
+    Of equally light parallel edges the first is kept, as in ``Graph``.
+    """
+    key = u * n + v
+    if (key[1:] > key[:-1]).all():
+        return u, v, w  # already sorted, no parallel edges
+    order = np.lexsort((w, key))  # stable
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    order = order[first]
+    return u[order], v[order], w[order]
+
+
+def _adjacency(n: int, a: np.ndarray, b: np.ndarray,
+               w: np.ndarray) -> List[List[Tuple[int, float]]]:
+    """Per vertex x, the (b, w) of its edges (x, b); ``a`` is sorted."""
+    pairs = list(zip(b.tolist(), w.tolist()))
+    ends = np.cumsum(np.bincount(a, minlength=n)).tolist()
+    return [pairs[s:e] for s, e in zip([0] + ends, ends)]
+
+
+class Graph:
+    """Immutable directed graph with nonnegative real edge weights.
+
+    ``fwd[u]`` holds (v, w) by ascending v and ``rev[v]`` holds (u, w) by
+    ascending u; parallel edges are collapsed to the minimum weight.
+    """
+
+    __slots__ = ("n", "_fwd", "_rev", "max_weight", "min_positive_weight",
+                 "scale", "_edge_map", "_arrays")
 
     def __init__(self, n: int, edges: Iterable[Edge] = (), *,
                  scale: float = 1.0):
@@ -44,20 +81,79 @@ class Graph:
         for (u, v), w in sorted(best.items()):
             fwd[u].append((v, w))
             rev[v].append((u, w))
-        self.fwd, self.rev = fwd, rev
+        self._fwd, self._rev = fwd, rev
         self.max_weight = 0.0
         self.min_positive_weight = math.inf
-        for nbrs in self.fwd:
+        for nbrs in fwd:
             for _, w in nbrs:
                 if w > self.max_weight:
                     self.max_weight = w
                 if 0 < w < self.min_positive_weight:
                     self.min_positive_weight = w
         self._edge_map: Optional[Dict[Tuple[int, int], float]] = None
+        self._arrays: Optional[EdgeArrays] = None
+
+    @classmethod
+    def from_arrays(cls, n: int, u: Sequence[int], v: Sequence[int],
+                    w: Sequence[float], scale: float = 1.0) -> "Graph":
+        """``Graph(n, zip(u, v, w))``, validated and min-merged with numpy.
+
+        Raises the ValueError ``Graph`` raises for the first bad edge.
+        """
+        u = np.array(u, dtype=np.int64)
+        v = np.array(v, dtype=np.int64)
+        w = np.array(w, dtype=np.float64)
+        bad = ((u < 0) | (u >= n) | (v < 0) | (v >= n)
+               | ~((w >= 0) & (w < math.inf)))
+        if bad.any():
+            i = int(np.argmax(bad))
+            a, b = int(u[i]), int(v[i])
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+            raise ValueError(f"weight on edge ({a},{b}) must be finite "
+                             f"and >= 0: {float(w[i])}")
+        g = cls.__new__(cls)
+        g.n, g.scale = n, scale
+        g._fwd = g._rev = g._edge_map = None
+        g._arrays = u, v, w = merge_min_arrays(n, u, v, w)
+        pos = w[w > 0]
+        g.max_weight = float(pos.max()) if len(pos) else 0.0
+        g.min_positive_weight = float(pos.min()) if len(pos) else math.inf
+        return g
+
+    @property
+    def fwd(self) -> List[List[Tuple[int, float]]]:
+        if self._fwd is None:
+            self._fwd = _adjacency(self.n, *self._arrays)
+        return self._fwd
+
+    @property
+    def rev(self) -> List[List[Tuple[int, float]]]:
+        if self._rev is None:
+            u, v, w = self._arrays
+            order = np.argsort(v, kind="stable")
+            self._rev = _adjacency(self.n, v[order], u[order], w[order])
+        return self._rev
+
+    def edge_arrays(self) -> EdgeArrays:
+        """(u, v, w) arrays of the edges, sorted by (u, v).
+
+        The arrays are the graph's own: callers must not write to them.
+        """
+        if self._arrays is None:
+            fwd = self._fwd
+            u = np.repeat(np.arange(self.n, dtype=np.int64),
+                          [len(nbrs) for nbrs in fwd])
+            vw = np.array([e for nbrs in fwd for e in nbrs],
+                          dtype=np.float64).reshape(-1, 2)
+            self._arrays = (u, vw[:, 0].astype(np.int64), vw[:, 1])
+        return self._arrays
 
     @property
     def m(self) -> int:
-        return sum(len(nbrs) for nbrs in self.fwd)
+        if self._arrays is not None:
+            return len(self._arrays[0])
+        return sum(len(nbrs) for nbrs in self._fwd)
 
     def iter_edges(self) -> Iterator[Edge]:
         for u, nbrs in enumerate(self.fwd):
@@ -66,7 +162,9 @@ class Graph:
 
     def edge_weight(self, u: int, v: int) -> Optional[float]:
         if self._edge_map is None:
-            self._edge_map = {(a, b): w for a, b, w in self.iter_edges()}
+            a, b, w = self.edge_arrays()
+            self._edge_map = dict(zip(zip(a.tolist(), b.tolist()),
+                                      w.tolist()))
         return self._edge_map.get((u, v))
 
 
@@ -75,11 +173,11 @@ def transpose_view(g: Graph) -> Graph:
     t = Graph.__new__(Graph)
     t.n = g.n
     t.scale = g.scale
-    t.fwd = g.rev
-    t.rev = g.fwd
+    t._fwd = g.rev
+    t._rev = g.fwd
     t.max_weight = g.max_weight
     t.min_positive_weight = g.min_positive_weight
-    t._edge_map = None
+    t._edge_map = t._arrays = None
     return t
 
 
@@ -112,6 +210,13 @@ class EdgeSet:
 
     def sorted_edges(self) -> List[Edge]:
         return [(u, v, w) for (u, v), w in sorted(self.entries.items())]
+
+    def arrays(self) -> EdgeArrays:
+        """(u, v, w) numpy arrays of the entries, in iteration order."""
+        uv = np.array(list(self.entries), dtype=np.int64).reshape(-1, 2)
+        w = np.fromiter(self.entries.values(), dtype=np.float64,
+                        count=len(self.entries))
+        return uv[:, 0], uv[:, 1], w
 
 
 def merge_min(a: EdgeSet, b: EdgeSet) -> EdgeSet:
@@ -157,10 +262,11 @@ class InducedSubgraph:
             self.graph = parent
             return
         members = self.local_of
+        pfwd = parent.fwd
         edges = []
         for g_u in ids:
             lu = members[g_u]
-            for g_v, w in parent.fwd[g_u]:
+            for g_v, w in pfwd[g_u]:
                 lv = members.get(g_v)
                 if lv is not None:
                     edges.append((lu, lv, w))

@@ -4,9 +4,12 @@ Each distance scale quantizes the current working graph (original edges
 plus previously injected hopset edges) to integer multiples of a unit,
 runs bounded searches in quantized units, scales the returned edges back,
 and min-merges them into the hopset; the hopset is injected into the
-working graph between sweeps.  Searches within a frame are mutually
-independent (read-only graph, keyed RNG), so a concurrent executor must
-produce bit-identical output to this serial order.
+working graph between sweeps.  The working graph and the hopset are kept
+as (u, v, w) numpy arrays, quantized with one vectorised ceil and
+min-merged with one lexsort; the graphs the searches need are built
+from those arrays with ``Graph.from_arrays``.  Searches within a frame
+are mutually independent (read-only graph, keyed RNG), so a concurrent
+executor must produce bit-identical output to this serial order.
 """
 from __future__ import annotations
 
@@ -15,8 +18,10 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import rng as rngmod
-from .graph import EdgeSet, Graph, merge_min, induce
+from .graph import EdgeArrays, EdgeSet, Graph, induce, merge_min_arrays
 from .hopset import (Instrumentation, RecursionFrame, ShortcutSink,
                      assign_levels, hs_recurse, _run_shortcutters)
 from .params import MODE_PAPER, Params
@@ -38,7 +43,13 @@ class QuantizedGraph:
     base: Graph
     unit: float
     graph: Graph                      # integer weights, dropped edges absent
-    integer_weights: Dict[Tuple[int, int], int]
+
+    @property
+    def integer_weights(self) -> Dict[Tuple[int, int], int]:
+        """Quantized weight of each kept edge, in units."""
+        u, v, q = self.graph.edge_arrays()
+        return {(a, b): int(x)
+                for a, b, x in zip(u.tolist(), v.tolist(), q.tolist())}
 
 
 def quantize(g: Graph, i: int, scheme: RoundingScheme) -> QuantizedGraph:
@@ -49,17 +60,12 @@ def quantize(g: Graph, i: int, scheme: RoundingScheme) -> QuantizedGraph:
     unit = scheme.unit
     if unit <= 0:
         raise ValueError("rounding unit must be > 0")
-    cutoff = 2.0 ** (i + 1)
-    intw: Dict[Tuple[int, int], int] = {}
-    edges = []
-    for u, v, w in g.iter_edges():
-        if w >= cutoff:
-            continue
-        q = 1 if w == 0 else math.ceil(w / unit)
-        intw[(u, v)] = q
-        edges.append((u, v, float(q)))
-    qg = Graph(g.n, edges, scale=g.scale)
-    return QuantizedGraph(base=g, unit=unit, graph=qg, integer_weights=intw)
+    u, v, w = g.edge_arrays()
+    keep = w < 2.0 ** (i + 1)
+    w = w[keep]
+    q = np.where(w == 0, 1.0, np.ceil(w / unit))
+    qg = Graph.from_arrays(g.n, u[keep], v[keep], q, scale=g.scale)
+    return QuantizedGraph(base=g, unit=unit, graph=qg)
 
 
 def derive_parallel_params(n: int, epsilon: float, k: int = 2,
@@ -81,6 +87,24 @@ def default_beta(params: Params) -> float:
         / params.log_n
 
 
+def check_rounding(delta: float, beta: Optional[float]) -> None:
+    """ValueError unless delta and beta (None: the default) are finite
+    and > 0, and the shortcut radius 8(1 + delta)beta/delta, which also
+    bounds every quantized weight, is finite."""
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
+    if beta is None:
+        return
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    if not 8.0 * (1.0 + delta) * beta / delta < math.inf:
+        raise ValueError(f"beta / delta is too large: {beta} / {delta}")
+
+
+def _concat(*parts: EdgeArrays) -> EdgeArrays:
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
 def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
             beta: Optional[float] = None, sweeps: Optional[int] = None,
             scale_range: Optional[Tuple[int, int]] = None,
@@ -93,11 +117,10 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
     light bounds a path with no positive edge, so the pair's distance
     is 0.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
     n = g.n
     if beta is None:
         beta = default_beta(params)
+    check_rounding(delta, beta)
     if sweeps is None:
         sweeps = math.ceil(params.lam * params.log_n ** 2) \
             if params.mode == MODE_PAPER else params.repetitions
@@ -108,13 +131,15 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
         scales = range(scale_range[0], scale_range[1] + 1)
 
     floor = g.min_positive_weight
-    working = EdgeSet({(u, v): w for u, v, w in g.iter_edges()})
-    hopset = EdgeSet()
+    hopset: EdgeArrays = (np.empty(0, np.int64), np.empty(0, np.int64),
+                          np.empty(0, np.float64))
     shortcut_radius = 8.0 * (1.0 + delta) * beta / delta
     recurse_base = 4.0 * (1.0 + delta) * beta / (delta * (params.k ** params.c))
 
     for sweep in range(sweeps):
-        cur = Graph(n, iter(working))
+        # the working graph: g's edges min-merged with the hopset so far
+        cur = Graph.from_arrays(n, *_concat(g.edge_arrays(), hopset))
+        found = []
         for i in scales:
             scheme = RoundingScheme(scale_index=i, delta=delta, beta=beta)
             qg = quantize(cur, i, scheme)
@@ -133,11 +158,9 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
 
             hs_recurse(RecursionFrame(full, recurse_base, 0, "root"),
                        levels, params, sigma_rng, sink.out, instr, sink)
-            unit = scheme.unit
-            for (u, v), wq in sink.out.entries.items():
-                w = wq * unit
-                if w < floor:
-                    w = 0.0
-                hopset.add(u, v, w)
-        working = merge_min(working, hopset)
-    return hopset
+            u, v, wq = sink.out.arrays()
+            w = wq * scheme.unit
+            found.append((u, v, np.where(w < floor, 0.0, w)))
+        hopset = merge_min_arrays(n, *_concat(hopset, *found))
+    u, v, w = hopset
+    return EdgeSet(dict(zip(zip(u.tolist(), v.tolist()), w.tolist())))

@@ -43,12 +43,7 @@ class _EdgeArrays:
 
     def __init__(self, g: Graph, h_uv: Optional[np.ndarray] = None,
                  h_w: Optional[np.ndarray] = None):
-        flat = [e for nbrs in g.fwd for e in nbrs]
-        src = np.repeat(np.arange(g.n, dtype=np.int64),
-                        [len(nbrs) for nbrs in g.fwd])
-        gvw = np.array(flat, dtype=np.float64).reshape(-1, 2)
-        dst = gvw[:, 0].astype(np.int64)
-        w = gvw[:, 1]
+        src, dst, w = g.edge_arrays()
         if h_uv is not None:
             src = np.concatenate([src, h_uv[:, 0]])
             dst = np.concatenate([dst, h_uv[:, 1]])
@@ -63,8 +58,8 @@ class _EdgeArrays:
 def _hopset_arrays(n: int, h: EdgeSet) -> Tuple[np.ndarray, np.ndarray]:
     """(k, 2) endpoints and k weights of ``h``; ValueError for an
     endpoint outside [0, n) or a weight that is not finite and >= 0."""
-    uv = np.array(list(h.entries), dtype=np.int64).reshape(-1, 2)
-    w = np.fromiter(h.entries.values(), dtype=np.float64, count=len(h))
+    u, v, w = h.arrays()
+    uv = np.column_stack((u, v))
     bad = ((uv < 0) | (uv >= n)).any(axis=1)
     if bad.any():
         u, v = uv[np.argmax(bad)].tolist()

@@ -68,6 +68,17 @@ def hop_dp(n, edges, source, beta):
     return dist
 
 
+def quantize_reference(edges, i, unit):
+    """{(u, v): units} of the min-merged edges lighter than 2^(i+1), each
+    weight rounded up to whole units with math.ceil; zero becomes 1."""
+    best = {}
+    for u, v, w in edges:
+        if (u, v) not in best or w < best[(u, v)]:
+            best[(u, v)] = w
+    return {key: 1 if w == 0 else math.ceil(w / unit)
+            for key, w in best.items() if w < 2.0 ** (i + 1)}
+
+
 def minplus_matrix(n, edges, dtype=np.float64):
     """Adjacency matrix with 0 diagonal (min over parallel edges)."""
     a = np.full((n, n), np.inf, dtype=dtype)

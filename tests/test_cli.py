@@ -72,6 +72,24 @@ class TestBuildVerify:
             fh.write("0 2 0.9\n")  # lighter than the distance 1.0
         assert cli.main(["verify", "--graph", graph, "--hopset", out]) == 1
 
+    def test_report_and_pairs_in_input_units(self, tmp_path):
+        graph, hopset = str(tmp_path / "g.txt"), str(tmp_path / "h.txt")
+        report, pairs = str(tmp_path / "r.json"), str(tmp_path / "p.csv")
+        with open(graph, "w") as fh:
+            fh.write("3 2\n0 1 0.5\n1 2 0.5\n")
+        assert cli.main(["build", "--graph", graph, "--algorithm",
+                         "weighted", "--csv", pairs]) == 0
+        rows = open(pairs).read().splitlines()
+        assert "0,1,0.5,0.5,1.0" in rows and "0,2,1.0,1.0,1.0" in rows
+        with open(hopset, "w") as fh:
+            fh.write("0 2 0.9\n")  # lighter than the distance 1.0
+        assert cli.main(["verify", "--graph", graph, "--hopset", hopset,
+                         "--report", report, "--csv", pairs]) == 1
+        edge, pair = json.loads(open(report).read())["validity_violations"]
+        assert (edge["weight"], edge["distance"]) == (0.9, 1.0)
+        assert (pair["beta_dist"], pair["distance"]) == (0.9, 1.0)
+        assert "0,2,1.0,0.9,0.9" in open(pairs).read().splitlines()
+
     def test_rerun_byte_identical(self, tmp_path):
         outs, reports = [], []
         for name in ("1", "2"):
@@ -200,6 +218,26 @@ class TestMalformedInput:
             fh.write(line + "\n")
         self.expect_error(capsys, ["verify", "--graph", graph,
                                    "--hopset", bad], "hopset:")
+
+    @pytest.mark.parametrize("flags", [["--beta", "0"], ["--beta", "-3"],
+                                       ["--delta", "-1"],
+                                       ["--delta", "1e-310", "--beta", "1"]])
+    def test_bad_rounding(self, capsys, flags):
+        self.expect_error(capsys, ["build", "--family", "path", "--n", "8",
+                                   "--algorithm", "parallel",
+                                   "--epsilon", "0.5"] + flags, "params:")
+
+    @pytest.mark.parametrize("text", ["{bad json", None])
+    def test_bad_config_file(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        self.expect_error(capsys, ["build", "--config", str(cfg)],
+                          "config:")
+
+    def test_bad_scale_range(self, capsys):
+        self.expect_error(capsys, ["build", "--family", "path", "--n", "8",
+                                   "--scale-range", "abc"], "config:")
 
     @pytest.mark.parametrize("spec", ["sampled:x", "sampled:0",
                                       "sampled:-2", "some"])

@@ -10,6 +10,28 @@ from dirhopset.graph import (EdgeSet, Graph, GraphFormatError, augment,
 
 from oracles import all_pairs, dijkstra, random_edges
 
+weights = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 1.0, 1.5, 3.0]),
+    st.floats(0.0, 1e6))
+
+
+@st.composite
+def multigraphs(draw, bad=False):
+    """(n, edges): parallel edges, self-loops, zero and fractional
+    weights; with ``bad``, also endpoints outside [0, n) and weights
+    that are negative or not finite."""
+    n = draw(st.integers(0, 7))
+    vertex = st.integers(-2, n + 1) if bad else st.integers(0, n - 1)
+    weight = (st.one_of(weights, st.sampled_from(
+        [-1.0, -math.inf, math.inf, math.nan])) if bad else weights)
+    if n == 0 and not bad:
+        return n, []
+    return n, draw(st.lists(st.tuples(vertex, vertex, weight), max_size=24))
+
+
+def columns(edges):
+    return tuple(zip(*edges)) if edges else ((), (), ())
+
 
 def write(tmp_path, text, name="g.txt"):
     p = tmp_path / name
@@ -85,6 +107,46 @@ class TestGraph:
         g = Graph(3, [(0, 1, 0.0), (1, 2, 4.0), (0, 2, 2.0)])
         assert g.max_weight == 4.0
         assert g.min_positive_weight == 2.0
+
+
+class TestFromArrays:
+    """Graph.from_arrays against the Python-loop constructor."""
+
+    @given(multigraphs())
+    def test_equals_loop_constructor(self, case):
+        n, edges = case
+        want = Graph(n, edges)
+        got = Graph.from_arrays(n, *columns(edges))
+        # repr tells 0.0 from -0.0 and int from float
+        assert repr(got.fwd) == repr(want.fwd)
+        assert repr(got.rev) == repr(want.rev)
+        assert got.m == want.m
+        assert repr(got.max_weight) == repr(want.max_weight)
+        assert repr(got.min_positive_weight) == \
+            repr(want.min_positive_weight)
+        for u in range(n):
+            for v in range(n):
+                assert repr(got.edge_weight(u, v)) == \
+                    repr(want.edge_weight(u, v))
+        for a, b in zip(got.edge_arrays(), want.edge_arrays()):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+    @given(multigraphs(bad=True))
+    def test_raises_like_loop_constructor(self, case):
+        n, edges = case
+        errors = []
+        for build in (lambda: Graph(n, edges),
+                      lambda: Graph.from_arrays(n, *columns(edges))):
+            try:
+                build()
+                errors.append(None)
+            except ValueError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1]
+
+    def test_scale_kept(self):
+        g = Graph.from_arrays(2, [0], [1], [2.0], scale=4.0)
+        assert g.scale == 4.0 and g.edge_weight(0, 1) == 2.0
 
 
 class TestTranspose:

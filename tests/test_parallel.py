@@ -2,16 +2,29 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dirhopset.graph import Graph, augment
 from dirhopset.parallel import (RoundingScheme, phopset, quantize)
 from dirhopset.params import derive_params
 
-from oracles import all_pairs, dijkstra, hop_dp, random_edges
+from oracles import (all_pairs, dijkstra, hop_dp, quantize_reference,
+                     random_edges)
 
 
 def practical(n, **kw):
     return derive_params(n, 0.5, k=2, lam=1, mode="practical", **kw)
+
+
+@st.composite
+def multigraphs(draw):
+    """(n, edges) with parallel edges, self-loops, zero and fractional
+    weights."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    weight = st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, 2.0]),
+                       st.floats(0.0, 300.0))
+    return n, draw(st.lists(st.tuples(vertex, vertex, weight), max_size=30))
 
 
 class TestQuantize:
@@ -46,6 +59,20 @@ class TestQuantize:
             else:
                 back = qg.integer_weights[(0, 1)] * scheme.unit
                 assert w <= back < w + scheme.unit * (1 + 1e-12)
+
+    @given(multigraphs(), st.integers(-3, 8),
+           st.sampled_from([(1.0, 2.0), (0.1, 8.0), (0.05, 16.0),
+                            (0.3, 1.0)]))
+    def test_matches_per_edge_ceil(self, case, i, rounding):
+        n, edges = case
+        scheme = RoundingScheme(scale_index=i, delta=rounding[0],
+                                beta=rounding[1])
+        qg = quantize(Graph(n, edges), i, scheme)
+        want = quantize_reference(edges, i, scheme.unit)
+        assert qg.integer_weights == want
+        assert all(type(q) is int for q in qg.integer_weights.values())
+        assert list(qg.graph.iter_edges()) == \
+            [(u, v, float(q)) for (u, v), q in sorted(want.items())]
 
     def test_bad_unit(self):
         scheme = RoundingScheme(scale_index=0, delta=0.0, beta=1.0)
@@ -128,3 +155,13 @@ class TestPhopset:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             phopset(Graph(2, []), practical(2), delta=0.0, seed=0)
+
+    @pytest.mark.parametrize("delta,beta", [(-1.0, 4.0), (math.inf, 4.0),
+                                            (0.1, 0.0), (0.1, -3.0),
+                                            (0.1, math.nan),
+                                            (0.1, math.inf),
+                                            (1e-300, 1e10)])
+    def test_rejects_bad_rounding(self, delta, beta):
+        g = Graph(2, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="finite and > 0|too large"):
+            phopset(g, practical(2), delta=delta, seed=0, beta=beta)
