@@ -86,13 +86,6 @@ def _config_from_args(args: argparse.Namespace,
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
-    overrides = dict(data.pop("overrides", {}))
-    for key in ("repetitions", "L"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if overrides:
-        data["overrides"] = overrides
     sr = getattr(args, "scale_range", None)
     if sr is not None:
         lo, _, hi = sr.partition(":")
@@ -102,7 +95,12 @@ def _config_from_args(args: argparse.Namespace,
             raise ExperimentError(
                 f"config: --scale-range must be 'lo:hi', got {sr!r}"
             ) from None
-    return ExperimentConfig.from_dict(data)
+    cfg = ExperimentConfig.from_dict(data)
+    for key in ("repetitions", "L"):
+        value = getattr(args, key, None)
+        if value is not None:
+            cfg.overrides = {**cfg.overrides, key: value}
+    return cfg
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import time
+import typing
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Tuple
 
@@ -59,10 +60,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        unknown = set(data) - known
+        """ExperimentError for an unknown key or a value of the wrong
+        type, also in ``overrides`` (an int passes for a float, a bool
+        for neither)."""
+        hints = typing.get_type_hints(cls)
+        unknown = set(data) - set(hints)
         if unknown:
             raise ExperimentError(f"config: unknown keys {sorted(unknown)}")
+        for key, value in data.items():
+            if not _has_type(value, hints[key]):
+                raise ExperimentError(
+                    f"config: {key} must be {_type_name(hints[key])}, "
+                    f"got {value!r}")
+        param_hints = typing.get_type_hints(Params)
+        for key, value in data.get("overrides", {}).items():
+            hint = param_hints.get(key)
+            if hint is not None and not _has_type(value, hint):
+                raise ExperimentError(
+                    f"config: overrides.{key} must be {_type_name(hint)}, "
+                    f"got {value!r}")
         cfg = cls(**data)
         if cfg.scale_range is not None:
             cfg.scale_range = tuple(cfg.scale_range)  # type: ignore[assignment]
@@ -73,6 +89,32 @@ class ExperimentConfig:
         if d.get("scale_range") is not None:
             d["scale_range"] = list(d["scale_range"])
         return d
+
+
+def _has_type(value, hint) -> bool:
+    args = typing.get_args(hint)
+    if type(None) in args:  # Optional[X]
+        if value is None:
+            return True
+        hint = args[0]
+    if typing.get_origin(hint) is tuple:  # scale_range: (lo, hi)
+        return (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(_has_type(x, int) for x in value))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _type_name(hint) -> str:
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return f"{_type_name(args[0])} or null"
+    if typing.get_origin(hint) is tuple:
+        return "a [lo, hi] pair of integers"
+    return {int: "an integer", float: "a number", str: "a string",
+            bool: "true or false", dict: "an object"}[hint]
 
 
 def write_hopset(path: str, h: EdgeSet, sidecar: dict) -> None:

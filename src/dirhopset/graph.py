@@ -41,12 +41,12 @@ def merge_min_arrays(n: int, u: np.ndarray, v: np.ndarray,
     return u[order], v[order], w[order]
 
 
-def _adjacency(n: int, a: np.ndarray, b: np.ndarray,
+def _adjacency(indptr: np.ndarray, b: np.ndarray,
                w: np.ndarray) -> List[List[Tuple[int, float]]]:
-    """Per vertex x, the (b, w) of its edges (x, b); ``a`` is sorted."""
+    """Per vertex x, the (b, w) pairs in [indptr[x], indptr[x + 1])."""
     pairs = list(zip(b.tolist(), w.tolist()))
-    ends = np.cumsum(np.bincount(a, minlength=n)).tolist()
-    return [pairs[s:e] for s, e in zip([0] + ends, ends)]
+    bounds = indptr.tolist()
+    return [pairs[s:e] for s, e in zip(bounds, bounds[1:])]
 
 
 class Graph:
@@ -57,7 +57,7 @@ class Graph:
     """
 
     __slots__ = ("n", "_fwd", "_rev", "max_weight", "min_positive_weight",
-                 "scale", "_edge_map", "_arrays")
+                 "scale", "_edge_map", "_arrays", "_csr")
 
     def __init__(self, n: int, edges: Iterable[Edge] = (), *,
                  scale: float = 1.0):
@@ -92,6 +92,7 @@ class Graph:
                     self.min_positive_weight = w
         self._edge_map: Optional[Dict[Tuple[int, int], float]] = None
         self._arrays: Optional[EdgeArrays] = None
+        self._csr: List[Optional[EdgeArrays]] = [None, None]
 
     @classmethod
     def from_arrays(cls, n: int, u: Sequence[int], v: Sequence[int],
@@ -116,6 +117,7 @@ class Graph:
         g.n, g.scale = n, scale
         g._fwd = g._rev = g._edge_map = None
         g._arrays = u, v, w = merge_min_arrays(n, u, v, w)
+        g._csr = [None, None]
         pos = w[w > 0]
         g.max_weight = float(pos.max()) if len(pos) else 0.0
         g.min_positive_weight = float(pos.min()) if len(pos) else math.inf
@@ -124,15 +126,13 @@ class Graph:
     @property
     def fwd(self) -> List[List[Tuple[int, float]]]:
         if self._fwd is None:
-            self._fwd = _adjacency(self.n, *self._arrays)
+            self._fwd = _adjacency(*self.csr())
         return self._fwd
 
     @property
     def rev(self) -> List[List[Tuple[int, float]]]:
         if self._rev is None:
-            u, v, w = self._arrays
-            order = np.argsort(v, kind="stable")
-            self._rev = _adjacency(self.n, v[order], u[order], w[order])
+            self._rev = _adjacency(*self.csr(reverse=True))
         return self._rev
 
     def edge_arrays(self) -> EdgeArrays:
@@ -148,6 +148,23 @@ class Graph:
                           dtype=np.float64).reshape(-1, 2)
             self._arrays = (u, vw[:, 0].astype(np.int64), vw[:, 1])
         return self._arrays
+
+    def csr(self, reverse: bool = False) -> EdgeArrays:
+        """(indptr, heads, w): the edges out of x (into x if ``reverse``)
+        lead to heads[indptr[x]:indptr[x + 1]], by ascending head, with
+        the weights w[indptr[x]:indptr[x + 1]].
+
+        Made once per direction from ``edge_arrays()``; read-only.
+        """
+        csr = self._csr[reverse]
+        if csr is None:
+            a, b, w = self.edge_arrays()
+            if reverse:
+                order = np.argsort(b, kind="stable")
+                a, b, w = b[order], a[order], w[order]
+            indptr = np.searchsorted(a, np.arange(self.n + 1))
+            csr = self._csr[reverse] = (indptr, b, w)
+        return csr
 
     @property
     def m(self) -> int:
@@ -178,6 +195,7 @@ def transpose_view(g: Graph) -> Graph:
     t.max_weight = g.max_weight
     t.min_positive_weight = g.min_positive_weight
     t._edge_map = t._arrays = None
+    t._csr = [None, None]
     return t
 
 

@@ -11,15 +11,17 @@ All searches on a driver call's root graph (the driver loop, full frames
 and the re-pricing of other frames' shortcuts) go through one
 ``ShortcutSink``: its ``SearchMemo`` lives for that driver call, and the
 results it hands out are shared, so their ``reached`` dicts are
-read-only.
+read-only.  A full frame's shortcutters that the memo cannot answer are
+searched together, by one batched search per direction.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from . import rng as rngmod
 from .graph import EdgeSet, Graph, InducedSubgraph, induce
@@ -149,25 +151,41 @@ def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
     Reach sets come from subgraph searches; weights are repriced against
     the root graph so every emitted weight is the exact root distance.
     Self-shortcuts, edges duplicating an existing root edge at equal
-    weight and pairs the sink already covers are suppressed.
+    weight and pairs the sink already covers are suppressed.  A full
+    frame's reach set is filtered with numpy.
     """
-    root = sink.root
+    root, out = sink.root, sink.out
     src_g = sub.to_global(src_local)
     key = (src_g, direction)
     covered = sink.covered.get(key, -math.inf)
     if sub.is_full:
-        dist_g = res.reached
         sink.covered[key] = (math.inf if res.complete
                              else max(covered, res.bound))
-    else:
-        maxd = max(res.reached.values())
-        if maxd <= covered:
-            return
-        root_dist = sink.memo.search(src_g, maxd, direction).reached
-        dist_g = {sub.to_global(v): root_dist[sub.to_global(v)]
-                  for v in res.reached}
-    out = sink.out
-    for v_g, d in dist_g.items():
+        reached = res.reached
+        row = np.full(root.n, np.inf)
+        row[np.fromiter(reached, np.int64, len(reached))] = np.fromiter(
+            reached.values(), np.float64, len(reached))
+        keep = (row > covered) & (row < np.inf)
+        keep[src_g] = False
+        indptr, heads, w = root.csr(reverse=direction != FORWARD)
+        lo, hi = indptr[src_g], indptr[src_g + 1]
+        nbrs = heads[lo:hi]
+        keep[nbrs[row[nbrs] == w[lo:hi]]] = False  # equal root edges
+        vs = np.flatnonzero(keep)
+        for v_g, d in zip(vs.tolist(), row[vs].tolist()):
+            if direction == FORWARD:
+                out.add(src_g, v_g, d)
+            else:
+                out.add(v_g, src_g, d)
+        return
+    if len(res.reached) == 1:
+        return  # reached only the source: nothing to emit or re-price
+    maxd = max(res.reached.values())
+    if maxd <= covered:
+        return
+    root_dist = sink.memo.search(src_g, maxd, direction).reached
+    for v_g in map(sub.to_global, res.reached):
+        d = root_dist[v_g]
         if v_g == src_g or d <= covered:
             continue
         if direction == FORWARD:
@@ -180,21 +198,26 @@ def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
 
 
 def _run_shortcutters(sink: ShortcutSink, sub: InducedSubgraph,
-                      shortcutters: Iterable[int], radius: float) -> None:
+                      shortcutters: Sequence[int], radius: float) -> None:
     """Search ``radius`` both ways from each shortcutter and emit.
 
-    In a full frame the searches go through the root memo, and a
+    In a full frame the searches go through the root memo, whose misses
+    are searched together, one batched search per direction, and a
     direction the sink already covers out to ``radius`` is skipped
     without searching.
     """
-    for s in shortcutters:
-        for direction in (FORWARD, BACKWARD):
-            if not sub.is_full:
-                res = bounded_search(sub.graph, s, radius, direction)
-            elif sink.covered.get((s, direction), -math.inf) >= radius:
-                continue  # local ids are global ids in a full frame
-            else:
-                res = sink.memo.search(s, radius, direction)
+    if not sub.is_full:
+        for s in shortcutters:
+            for direction in (FORWARD, BACKWARD):
+                _emit_shortcuts(sink, sub, s,
+                                bounded_search(sub.graph, s, radius,
+                                               direction), direction)
+        return
+    for direction in (FORWARD, BACKWARD):
+        todo = [s for s in shortcutters  # local ids are global ids here
+                if sink.covered.get((s, direction), -math.inf) < radius]
+        for s, res in zip(todo, sink.memo.search_all(todo, radius,
+                                                     direction)):
             _emit_shortcuts(sink, sub, s, res, direction)
 
 

@@ -77,14 +77,16 @@ def derive_parallel_params(n: int, epsilon: float, k: int = 2,
     delta = epsilon / (8.0 * log_n)
     epsilon_inner = epsilon / (8.0 * log_n)
     L = math.ceil(17.0 - math.log(epsilon, k))
-    beta = 6.0 * (lam ** math.log(n, k)) * math.sqrt(n) / log_n
-    return delta, epsilon_inner, L, beta
+    return delta, epsilon_inner, L, _paper_beta(n, k, lam)
+
+
+def _paper_beta(n: int, k: int, lam: int) -> float:
+    """The literal hop bound 6 lam^(log_k n) sqrt(n) / log2(n)."""
+    return 6.0 * (lam ** math.log(n, k)) * math.sqrt(n) / math.log2(n)
 
 
 def default_beta(params: Params) -> float:
-    n = params.n
-    return 6.0 * (params.lam ** math.log(n, params.k)) * math.sqrt(n) \
-        / params.log_n
+    return _paper_beta(params.n, params.k, params.lam)
 
 
 def check_rounding(delta: float, beta: Optional[float]) -> None:

@@ -1,7 +1,11 @@
 """Distance-bounded searches and fringe-minimizing radius selection.
 
-One binary-heap Dijkstra engine serves both unweighted and weighted
-graphs; backward searches walk the stored reverse adjacency.
+``bounded_search`` is binary-heap Dijkstra from one source over the
+adjacency lists; backward searches walk the reverse adjacency.
+``batched_search`` runs the same searches from many sources at once,
+relaxing the graph's CSR arrays for a matrix of rows per round, and
+gives the same floats; it serves the root graph's shortcutters and the
+verifier's exact distances.  Both serve unweighted and weighted graphs.
 
 ``SearchMemo`` keeps, per (source, direction), the largest search run on
 one graph and answers smaller radii by filtering it.  Its lifetime is
@@ -16,13 +20,18 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .graph import Graph
 from .params import Params
 
 FORWARD = "forward"
 BACKWARD = "backward"
+CHUNK = 64  # sources per batched search; bounds its S x n matrix
+THIN = 64  # a batched round that would relax fewer edges is thin
+THIN_ROUNDS = 8  # after more thin rounds in a row, Dijkstra finishes
 
 
 @dataclass
@@ -46,6 +55,29 @@ class RadiusChoice:
     fringe_size: int
 
 
+def _settle(adj, dist: Dict[int, float], heap: List[Tuple[float, int]],
+            d: float) -> List[int]:
+    """Dijkstra from the entries on ``heap`` (each equal to its ``dist``
+    entry), lowering ``dist`` in place within the bound ``d``.
+
+    Returns the targets of the relaxations the bound cut off.
+    """
+    cut: List[int] = []
+    heappop, heappush = heapq.heappop, heapq.heappush
+    while heap:
+        du, u = heappop(heap)
+        if du > dist[u]:
+            continue
+        for v, w in adj[u]:
+            nd = du + w
+            if nd > d:
+                cut.append(v)
+            elif nd < dist.get(v, math.inf):
+                dist[v] = nd
+                heappush(heap, (nd, v))
+    return cut
+
+
 def bounded_search(g: Graph, source: int, d: float,
                    direction: str = FORWARD) -> SearchResult:
     """Dijkstra from ``source`` truncated at distance ``d``.
@@ -57,23 +89,89 @@ def bounded_search(g: Graph, source: int, d: float,
         raise ValueError(f"invalid source {source}")
     if d < 0:
         raise ValueError("bound must be >= 0")
-    adj = g.fwd if direction == FORWARD else g.rev
     dist: Dict[int, float] = {source: 0.0}
-    heap = [(0.0, source)]
-    cut: List[int] = []  # targets of relaxations beyond the bound
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
-            continue
-        for v, w in adj[u]:
-            nd = du + w
-            if nd > d:
-                cut.append(v)
-            elif nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+    cut = _settle(g.fwd if direction == FORWARD else g.rev, dist,
+                  [(0.0, source)], d)
     return SearchResult(source=source, bound=d, direction=direction,
                         reached=dist, complete=all(v in dist for v in cut))
+
+
+def batched_search(g: Graph, sources: Sequence[int], d: float,
+                   direction: str = FORWARD
+                   ) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray]]:
+    """``bounded_search`` from many sources, CHUNK at a time.
+
+    Yields (block, dist, complete) per chunk of ``sources``: row i of
+    the new S x n matrix ``dist`` holds block[i]'s distances (inf where
+    not reached) and ``complete[i]`` its ``complete`` flag.
+
+    Each round relaxes the edges out of the entries the previous round
+    lowered, keeps the candidates <= d that beat their entry, and lowers
+    each entry to its least candidate.  After more than THIN_ROUNDS
+    rounds in a row that would each relax fewer than THIN edges (a long
+    thin tail, as on a path), each row with entries still to expand is
+    finished by Dijkstra from them, since a round costs about as much
+    as THIN heap steps.  Both converge to the same fixpoint, and because
+    fl(a + w) is monotone in a for w >= 0 it equals Dijkstra's
+    distances float for float.  A row is complete when every
+    relaxation cut off by the bound reached a vertex reached anyway.
+    """
+    n = g.n
+    for s in sources:
+        if not (0 <= s < n):
+            raise ValueError(f"invalid source {s}")
+    if d < 0:
+        raise ValueError("bound must be >= 0")
+    indptr, heads, wts = g.csr(reverse=direction != FORWARD)
+    degree = np.diff(indptr)
+    for lo in range(0, len(sources), CHUNK):
+        block = list(sources[lo:lo + CHUNK])
+        dist = np.full((len(block), n), np.inf)
+        flat = dist.reshape(-1)
+        # the frontier: flat indices row * n + vertex, ascending
+        front = np.arange(len(block)) * n + np.array(block, dtype=np.int64)
+        flat[front] = 0.0
+        cut = []
+        mark = np.zeros(len(flat), dtype=bool)
+        thin = 0  # rounds in a row that relaxed fewer than THIN edges
+        while len(front):
+            cols = front % n
+            count = degree[cols]
+            ends = np.cumsum(count)
+            total = int(ends[-1])
+            thin = thin + 1 if total < THIN else 0
+            if thin > THIN_ROUNDS or not total:
+                front = front[count > 0]
+                break
+            edge = np.repeat(indptr[cols] - (ends - count), count)
+            edge += np.arange(total)
+            cand = np.repeat(flat[front], count) + wts[edge]
+            key = np.repeat(front - cols, count) + heads[edge]
+            inside = cand <= d
+            cut.append(key[~inside])
+            better = inside & (cand < flat[key])
+            key = key[better]
+            np.minimum.at(flat, key, cand[better])
+            mark[key] = True
+            front = np.flatnonzero(mark)
+            mark[front] = False
+        if len(front):
+            adj = g.fwd if direction == FORWARD else g.rev
+            rows = front // n
+            for i in np.unique(rows).tolist():
+                row = dist[i]
+                reached = np.flatnonzero(row < np.inf)
+                state = dict(zip(reached.tolist(), row[reached].tolist()))
+                pending = (front[rows == i] - i * n).tolist()
+                heap = sorted(zip(row[pending].tolist(), pending))
+                missed = _settle(adj, state, heap, d)
+                row[list(state)] = list(state.values())
+                cut.append(i * n + np.array(missed, dtype=np.int64))
+        complete = np.ones(len(block), dtype=bool)
+        if cut:
+            missed = np.concatenate(cut)
+            complete[missed[flat[missed] == np.inf] // n] = False
+        yield block, dist, complete
 
 
 class SearchMemo:
@@ -94,15 +192,22 @@ class SearchMemo:
         self._entries: Dict[Tuple[int, str],
                             Tuple[SearchResult, float]] = {}
 
+    def _answers(self, source: int, d: float, direction: str) -> bool:
+        entry = self._entries.get((source, direction))
+        return entry is not None and (d <= entry[0].bound
+                                      or entry[0].complete)
+
+    def _keep(self, res: SearchResult) -> None:
+        self._entries[(res.source, res.direction)] = (
+            res, max(res.reached.values()))
+
     def search(self, source: int, d: float,
                direction: str = FORWARD) -> SearchResult:
-        key = (source, direction)
-        entry = self._entries.get(key)
-        if entry is None or (d > entry[0].bound and not entry[0].complete):
+        if not self._answers(source, d, direction):
             res = bounded_search(self.graph, source, d, direction)
-            self._entries[key] = (res, max(res.reached.values()))
+            self._keep(res)
             return res
-        res, maxd = entry
+        res, maxd = self._entries[(source, direction)]
         if d == res.bound:
             return res
         if d >= maxd:
@@ -110,6 +215,21 @@ class SearchMemo:
                                 res.complete)
         return SearchResult(source, d, direction,
                             {v: x for v, x in res.reached.items() if x <= d})
+
+    def search_all(self, sources: Sequence[int], d: float,
+                   direction: str = FORWARD) -> List[SearchResult]:
+        """``search`` from each of ``sources``; the misses are searched
+        together by one ``batched_search``."""
+        misses = [s for s in sources if not self._answers(s, d, direction)]
+        chunks = batched_search(self.graph, misses, d, direction) \
+            if misses else ()
+        for block, dist, complete in chunks:
+            for s, row, done in zip(block, dist, complete.tolist()):
+                v = np.flatnonzero(row < np.inf)
+                self._keep(SearchResult(s, d, direction,
+                                        dict(zip(v.tolist(),
+                                                 row[v].tolist())), done))
+        return [self.search(s, d, direction) for s in sources]
 
 
 def related_set(g: Graph, source: int, d: float

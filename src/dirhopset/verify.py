@@ -4,7 +4,8 @@ Hop-limited distances come from synchronous edge relaxation over
 numpy arrays of G (and H), built once per call: each round takes, for
 every row of sources at once, the minimum over each vertex's incoming
 edges, so after round r a row holds exactly the "<= r hops" distances.
-The exact oracle is per-source Dijkstra.
+Exact distances come from ``search.batched_search``, a chunk of sources
+at a time in ascending order.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .graph import EdgeSet, Graph
-from .search import FORWARD, bounded_search
+from .search import batched_search
 
 INF = math.inf
 BLOCK = 8  # sources relaxed together; bounds the rows x |E| scratch matrix
@@ -120,12 +121,8 @@ def oracle_distances(g: Graph, sources: Iterable[int]
                      ) -> Dict[int, List[float]]:
     """Exact Dijkstra distances per source."""
     out: Dict[int, List[float]] = {}
-    for s in sources:
-        res = bounded_search(g, s, INF, FORWARD)
-        dist = [INF] * g.n
-        for v, d in res.reached.items():
-            dist[v] = d
-        out[s] = dist
+    for block, dist, _ in batched_search(g, list(sources), INF):
+        out.update(zip(block, dist.tolist()))
     return out
 
 
@@ -238,37 +235,38 @@ def check_hopset(g: Graph, h: EdgeSet, beta: int, epsilon: float,
                         {"pair": [s, v], "beta_dist": hd, "distance": td,
                          "ratio": ratio})
 
-    # One Dijkstra per hopset or sampled source, in ascending order.  A
-    # hopset source's entries are checked in h's order; sampled sources
-    # are classified BLOCK at a time, so few rows are held at once.
+    # Exact rows for every hopset or sampled source, in ascending
+    # chunks.  Hopset edges are checked against the chunk's matrix, in
+    # the order of their tails and then of h; sampled sources are
+    # classified BLOCK at a time.
     order = np.argsort(h_uv[:, 0], kind="stable")
-    tails, firsts = np.unique(h_uv[order, 0], return_index=True)
-    entries = dict(zip(tails.tolist(), np.split(order, firsts[1:])))
+    tails = h_uv[order, 0]
     sampled = set(sample_sources(g.n, pair_sample, seed))
+    sources = sorted(sampled.union(tails.tolist()))
     edge_violations: List[dict] = []
     block: List[Tuple[int, List[float]]] = []
-    for u in sorted(sampled.union(entries)):
-        dist = oracle_distances(g, [u])[u]
-        idx = entries.get(u)
-        if idx is not None:
-            d = np.array(dist)[h_uv[idx, 1]]
-            unreachable = d == INF
-            d_fin = np.where(unreachable, 0.0, d)
-            light = h_w[idx] < d_fin - tol * np.maximum(1.0, d_fin)
-            for i in idx[unreachable | light].tolist():
-                v, w = int(h_uv[i, 1]), float(h_w[i])
-                if dist[v] == INF:
-                    edge_violations.append(
-                        {"edge": [u, v], "weight": w, "distance": None,
-                         "reason": "edge between unreachable pair"})
-                else:
-                    edge_violations.append(
-                        {"edge": [u, v], "weight": w, "distance": dist[v]})
-        if u in sampled:
-            block.append((u, dist))
-            if len(block) == BLOCK:
-                classify(block)
-                block = []
+    for chunk, dist, _ in batched_search(g, sources, INF):
+        lo, hi = np.searchsorted(tails, [chunk[0], chunk[-1] + 1])
+        idx = order[lo:hi]
+        d = dist[np.searchsorted(chunk, h_uv[idx, 0]), h_uv[idx, 1]]
+        unreachable = d == INF
+        d_fin = np.where(unreachable, 0.0, d)
+        bad = unreachable | (h_w[idx] < d_fin - tol * np.maximum(1.0, d_fin))
+        for (u, v), w, dv in zip(h_uv[idx[bad]].tolist(),
+                                 h_w[idx[bad]].tolist(), d[bad].tolist()):
+            if dv == INF:
+                edge_violations.append(
+                    {"edge": [u, v], "weight": w, "distance": None,
+                     "reason": "edge between unreachable pair"})
+            else:
+                edge_violations.append(
+                    {"edge": [u, v], "weight": w, "distance": dv})
+        for u, row in zip(chunk, dist):
+            if u in sampled:
+                block.append((u, row.tolist()))
+                if len(block) == BLOCK:
+                    classify(block)
+                    block = []
     if block:
         classify(block)
     # hopset edges first, then sampled pairs

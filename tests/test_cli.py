@@ -235,6 +235,29 @@ class TestMalformedInput:
         self.expect_error(capsys, ["build", "--config", str(cfg)],
                           "config:")
 
+    @pytest.mark.parametrize("name, text", [
+        ("cfg.json", '{"delta": "x", "algorithm": "parallel", "n": 16}'),
+        ("cfg.txt", "family = path\nn = 8\nscale_range = 5:6\n"),
+        ("cfg.json", '{"n": true}'),
+        ("cfg.json", '{"n": 8.0}'),
+        ("cfg.json", '{"scale_range": [1, 2, 3]}'),
+        ("cfg.json", '{"overrides": [1]}'),
+        ("cfg.json", '{"overrides": {"repetitions": 1.5}}'),
+        ("cfg.json", '{"overrides": {"rho_min": null}}')])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, name, text):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        self.expect_error(capsys, ["build", "--config", str(cfg)],
+                          "config:")
+
+    def test_config_values_of_right_type(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "family": "path", "n": 8, "epsilon": 0, "mode": "practical",
+            "lam": 1, "scale_range": [1, 3], "beta": None, "trace": False,
+            "overrides": {"L": 1, "c": 0}}))
+        assert cli.main(["build", "--config", str(cfg)]) == 0
+
     def test_bad_scale_range(self, capsys):
         self.expect_error(capsys, ["build", "--family", "path", "--n", "8",
                                    "--scale-range", "abc"], "config:")

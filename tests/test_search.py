@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from dirhopset import search as searchmod
 from dirhopset.graph import Graph, transpose_view
 from dirhopset.params import derive_params
-from dirhopset.search import (BACKWARD, FORWARD, SearchMemo, bounded_search,
+from dirhopset.search import (BACKWARD, CHUNK, FORWARD, SearchMemo,
+                              SearchResult, batched_search, bounded_search,
                               related_set, select_radius,
                               select_radius_with_searches)
 
@@ -175,16 +176,84 @@ radii = st.one_of(st.sampled_from([0.0, 0.3, 0.6, 1.0, 2.5, math.inf]),
                   st.floats(0.0, 8.0))
 
 
-@st.composite
-def memo_cases(draw):
-    n = draw(st.integers(1, 8))
+def graphs(draw, max_n=8, max_m=20):
+    """Small graphs with zero and fractional weights, parallel edges and
+    self-loops."""
+    n = draw(st.integers(1, max_n))
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
                                     st.integers(0, n - 1), weights),
-                          max_size=20))
+                          max_size=max_m))
+    return Graph(n, edges)
+
+
+def same_result(got, want):
+    """Equal keys, floats equal by repr, equal ``complete``."""
+    assert sorted(got.reached) == sorted(want.reached)
+    assert all(repr(got.reached[v]) == repr(want.reached[v])
+               for v in want.reached)
+    assert got.complete == want.complete
+
+
+def rows_equal_bounded_search(g, sources, d, direction):
+    done = []
+    for block, dist, complete in batched_search(g, sources, d, direction):
+        assert dist.shape == (len(block), g.n)
+        for s, row, flag in zip(block, dist.tolist(), complete):
+            got = {v: x for v, x in enumerate(row) if x != math.inf}
+            same_result(SearchResult(s, d, direction, got, bool(flag)),
+                        bounded_search(g, s, d, direction))
+            done.append(s)
+    assert done == list(sources)
+
+
+class TestBatchedSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rows_equal_bounded_search(self, data):
+        g = graphs(data.draw, max_n=10, max_m=30)
+        # a few sources repeated to up to two and a bit chunks
+        base = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1,
+                                  max_size=6))
+        count = data.draw(st.integers(1, 2 * CHUNK + 5))
+        sources = (base * count)[:count]
+        rows_equal_bounded_search(
+            g, sources, data.draw(radii),
+            data.draw(st.sampled_from([FORWARD, BACKWARD])))
+
+    @pytest.mark.parametrize("d", [0.0, 5.5, 60.0, math.inf])
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    def test_thin_tails_finished_by_dijkstra(self, d, direction):
+        # rows that run down a long path relax few edges per round
+        rng = random.Random(3)
+        edges = [(i, i + 1, rng.choice([0.5, 1.0, 2.0])) for i in range(199)]
+        edges += [(rng.randrange(40), rng.randrange(200), 3.0)
+                  for _ in range(30)]
+        rows_equal_bounded_search(Graph(200, edges), range(0, 200, 3), d,
+                                  direction)
+
+    def test_chunks(self):
+        g = path_graph(5)
+        blocks = [block for block, _, _ in
+                  batched_search(g, list(range(5)) * 30, 2.0)]
+        assert [len(b) for b in blocks] == [CHUNK, CHUNK, 150 - 2 * CHUNK]
+        assert list(batched_search(g, [], 1.0)) == []
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            list(batched_search(path_graph(3), [0, 3], 1.0))
+        with pytest.raises(ValueError):
+            list(batched_search(path_graph(3), [0], -1.0))
+
+
+@st.composite
+def memo_cases(draw):
+    g = graphs(draw)
+    # one source: SearchMemo.search; several: SearchMemo.search_all
     requests = draw(st.lists(st.tuples(
-        st.integers(0, n - 1), st.sampled_from([FORWARD, BACKWARD]), radii),
+        st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4),
+        st.sampled_from([FORWARD, BACKWARD]), radii),
         min_size=1, max_size=12))
-    return Graph(n, edges), requests
+    return g, requests
 
 
 class TestSearchMemo:
@@ -193,19 +262,20 @@ class TestSearchMemo:
     def test_answers_equal_fresh_searches(self, case):
         g, requests = case
         memo = SearchMemo(g)
-        for s, direction, d in requests:
-            got = memo.search(s, d, direction)
-            fresh = bounded_search(g, s, d, direction)
-            full = bounded_search(g, s, math.inf, direction).reached
-            assert got.reached == fresh.reached
-            assert all(math.copysign(1.0, x) == math.copysign(1.0, y)
-                       for x, y in zip(got.reached.values(),
-                                       (fresh.reached[v]
-                                        for v in got.reached)))
-            assert (got.source, got.bound, got.direction) == \
-                (s, d, direction)
-            assert got.complete == (got.reached == full)
-            assert fresh.complete == (fresh.reached == full)
+        for sources, direction, d in requests:
+            if len(sources) == 1:
+                answers = [memo.search(sources[0], d, direction)]
+            else:
+                answers = memo.search_all(sources, d, direction)
+            assert len(answers) == len(sources)
+            for s, got in zip(sources, answers):
+                fresh = bounded_search(g, s, d, direction)
+                full = bounded_search(g, s, math.inf, direction).reached
+                same_result(got, fresh)
+                assert (got.source, got.bound, got.direction) == \
+                    (s, d, direction)
+                assert got.complete == (got.reached == full)
+                assert fresh.complete == (fresh.reached == full)
 
     def test_searches_only_on_miss(self, monkeypatch):
         calls = []
@@ -229,3 +299,26 @@ class TestSearchMemo:
         assert memo.search(0, 100.0).complete  # served by the complete one
         assert memo.search(3, 2.0, BACKWARD).complete is False
         assert len(calls) == 5
+
+    def test_search_all_batches_only_misses(self, monkeypatch):
+        batches = []
+
+        def counting(g, sources, d, direction=FORWARD):
+            batches.append(list(sources))
+            return batched_search(g, sources, d, direction)
+
+        monkeypatch.setattr(searchmod, "batched_search", counting)
+        g = path_graph(6)
+        memo = SearchMemo(g)
+        memo.search(0, math.inf)
+        memo.search(1, 4.0)
+        got = memo.search_all([0, 1, 2, 3], 2.0)
+        assert batches == [[2, 3]]  # 0 and 1 are answered by the memo
+        assert [r.reached for r in got] == [
+            {0: 0.0, 1: 1.0, 2: 2.0}, {1: 0.0, 2: 1.0, 3: 2.0},
+            {2: 0.0, 3: 1.0, 4: 2.0}, {3: 0.0, 4: 1.0, 5: 2.0}]
+        memo.search_all([2, 3], 1.0)
+        memo.search(3, 2.0)
+        assert batches == [[2, 3]]  # answered by the batch-filled entries
+        memo.search_all([2, 3], 3.0)  # 3's search was complete
+        assert batches == [[2, 3], [2]]

@@ -121,6 +121,35 @@ class TestCheckHopset:
         assert not rep.validity_violations
         assert rep.max_ratio == 1.0
 
+    def test_edge_violations_in_tail_then_hopset_order(self):
+        # more hopset tails than one batched-search chunk holds
+        rng = random.Random(12)
+        n = 150
+        edges = random_edges(n, 250, 5, rng)
+        h = EdgeSet()
+        for _ in range(400):
+            h.add(rng.randrange(n), rng.randrange(n),
+                  rng.choice([0.5, 2.0, 6.0, 12.0]))
+        truth = {u: dijkstra(n, edges, u) for u, _, _ in h}
+        expected = []
+        for u in sorted(truth):
+            for a, b, w in h:
+                d = truth[u][b]
+                if a != u:
+                    continue
+                if d == INF:
+                    expected.append(
+                        {"edge": [a, b], "weight": w, "distance": None,
+                         "reason": "edge between unreachable pair"})
+                elif w < d - 1e-9 * max(1.0, d):
+                    expected.append({"edge": [a, b], "weight": w,
+                                     "distance": d})
+        rep = check_hopset(Graph(n, edges), h, beta=n - 1, epsilon=0.0,
+                           pair_sample="sampled:2")
+        got = [v for v in rep.validity_violations if "edge" in v]
+        assert len(truth) > 64 and len(expected) > 100
+        assert got == expected
+
     def test_sampled_sources(self):
         g = path_graph(20)
         rep = check_hopset(g, EdgeSet(), beta=19, epsilon=0.0,
