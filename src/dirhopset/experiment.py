@@ -18,7 +18,7 @@ from .generate import generate
 from .graph import EdgeSet, Graph, GraphFormatError, load_graph
 from .hopset import Instrumentation, hopset_unweighted, hopset_weighted
 from .parallel import check_rounding, phopset
-from .params import MODE_PRACTICAL, Params, derive_params
+from .params import MODE_PRACTICAL, OVERRIDES, Params, derive_params
 from .verify import VerificationReport, check_hopset, sample_sources
 
 
@@ -62,7 +62,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """ExperimentError for an unknown key or a value of the wrong
         type, also in ``overrides`` (an int passes for a float, a bool
-        for neither)."""
+        for neither; its keys must be in ``params.OVERRIDES``)."""
         hints = typing.get_type_hints(cls)
         unknown = set(data) - set(hints)
         if unknown:
@@ -72,10 +72,15 @@ class ExperimentConfig:
                 raise ExperimentError(
                     f"config: {key} must be {_type_name(hints[key])}, "
                     f"got {value!r}")
+        overrides = data.get("overrides", {})
+        unknown = set(overrides) - set(OVERRIDES)
+        if unknown:
+            raise ExperimentError(
+                f"config: unknown overrides {sorted(unknown)}")
         param_hints = typing.get_type_hints(Params)
-        for key, value in data.get("overrides", {}).items():
-            hint = param_hints.get(key)
-            if hint is not None and not _has_type(value, hint):
+        for key, value in overrides.items():
+            hint = param_hints[key]
+            if not _has_type(value, hint):
                 raise ExperimentError(
                     f"config: overrides.{key} must be {_type_name(hint)}, "
                     f"got {value!r}")
@@ -149,18 +154,6 @@ def read_hopset(path: str) -> EdgeSet:
     return out
 
 
-def _to_input_units(report: VerificationReport, scale: float) -> None:
-    """Divide the report's distances and weights by ``scale`` in place;
-    ratios stay as they are."""
-    for entry in (report.validity_violations + report.ratio_violations
-                  + report.reachability_violations):
-        for key in ("beta_dist", "distance", "weight"):
-            if entry.get(key) is not None:
-                entry[key] /= scale
-    report.pair_rows = [(s, v, td / scale, hd / scale, ratio)
-                        for s, v, td, hd, ratio in report.pair_rows]
-
-
 def _load_or_generate(cfg: ExperimentConfig) -> Graph:
     if cfg.graph_path:
         return load_graph(cfg.graph_path)
@@ -186,8 +179,9 @@ def run_experiment(cfg: ExperimentConfig
                    ) -> Tuple[VerificationReport, int]:
     """Generate/load, construct, verify, persist.  Returns (report, code).
 
-    Exit code 0 iff the verification found zero validity violations and
-    the ratio bound was met.
+    Hopsets, reports and pair rows are in the graph's units.  Exit code
+    0 iff the verification found zero validity violations and the ratio
+    bound was met.
     """
     try:
         g = _load_or_generate(cfg)
@@ -211,7 +205,10 @@ def run_experiment(cfg: ExperimentConfig
     instr = Instrumentation(record_frames=cfg.trace)
     t0 = time.perf_counter()
     if cfg.algorithm:
-        h = _build(cfg, g, params, instr)
+        try:
+            h = _build(cfg, g, params, instr)
+        except ValueError as exc:  # the graph does not suit the driver
+            raise ExperimentError(f"build: {exc}") from exc
     elif cfg.hopset_path:
         try:
             h = read_hopset(cfg.hopset_path)
@@ -221,8 +218,6 @@ def run_experiment(cfg: ExperimentConfig
             if not (0 <= u < g.n and 0 <= v < g.n):
                 raise ExperimentError(
                     f"hopset: edge ({u},{v}) out of range for n={g.n}")
-        if g.scale != 1.0:  # the file is in the graph file's units
-            h = EdgeSet({key: w * g.scale for key, w in h.entries.items()})
     else:
         raise ExperimentError("config: need an algorithm or a hopset file")
     build_seconds = time.perf_counter() - t0
@@ -236,11 +231,7 @@ def run_experiment(cfg: ExperimentConfig
         if cfg.algorithm == "parallel":
             sidecar.update({"delta": cfg.delta, "beta": cfg.beta,
                             "sweeps": cfg.sweeps})
-        out_h = h
-        if g.scale != 1.0:  # back to the graph file's units
-            out_h = EdgeSet({key: w / g.scale
-                             for key, w in h.entries.items()})
-        write_hopset(cfg.out, out_h, sidecar)
+        write_hopset(cfg.out, h, sidecar)
 
     if cfg.verify:
         beta = cfg.verify_beta if cfg.verify_beta else max(1, g.n - 1)
@@ -248,8 +239,6 @@ def run_experiment(cfg: ExperimentConfig
                               pair_sample=cfg.verify, seed=cfg.seed,
                               ratio_bound=cfg.ratio_bound,
                               collect_pairs=bool(cfg.csv_path))
-        if g.scale != 1.0:  # back to the graph file's units
-            _to_input_units(report, g.scale)
     else:
         report = VerificationReport(hopset_size=len(h))
     report.per_level_counters = instr.to_dict()

@@ -1,12 +1,13 @@
 """Directed weighted graph, induced subgraphs, and min-merge edge sets.
 
-The graph is stored as forward and reverse adjacency lists over dense
-0-based vertex ids, and as (u, v, w) numpy arrays sorted by (u, v).
-``Graph(n, edges)`` builds the lists with a Python loop, which is the
-cheaper way for small graphs; ``Graph.from_arrays`` validates and
-min-merges with numpy and builds each list on first use.  Graphs are
-immutable after construction; EdgeSet is the single mutable accumulator
-used to collect hopset edges.
+The graph is stored as (u, v, w) numpy arrays sorted by (u, v), and as
+forward and reverse adjacency lists over dense 0-based vertex ids.
+``Graph(n, edges)`` and ``Graph.from_arrays`` validate and min-merge
+with numpy and build each list on first use; an induced subgraph is
+built as lists, filtered from its parent's.  Weights stay in the
+input's units: the drivers normalise them.  Graphs are immutable after
+construction; EdgeSet is the single mutable accumulator used to collect
+hopset edges.
 """
 from __future__ import annotations
 
@@ -21,6 +22,11 @@ EdgeArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 class GraphFormatError(ValueError):
     """Raised when an edge-list file fails to parse."""
+
+
+def concat_arrays(*parts: EdgeArrays) -> EdgeArrays:
+    """The (u, v, w) columns of ``parts``, one after another."""
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
 def merge_min_arrays(n: int, u: np.ndarray, v: np.ndarray,
@@ -50,57 +56,31 @@ def _adjacency(indptr: np.ndarray, b: np.ndarray,
 
 
 class Graph:
-    """Immutable directed graph with nonnegative real edge weights.
+    """Immutable directed graph with nonnegative real edge weights, in
+    the units of its input.
 
     ``fwd[u]`` holds (v, w) by ascending v and ``rev[v]`` holds (u, w) by
     ascending u; parallel edges are collapsed to the minimum weight.
     """
 
     __slots__ = ("n", "_fwd", "_rev", "max_weight", "min_positive_weight",
-                 "scale", "_edge_map", "_arrays", "_csr")
+                 "_edge_map", "_arrays", "_csr")
 
-    def __init__(self, n: int, edges: Iterable[Edge] = (), *,
-                 scale: float = 1.0):
-        self.n = n
-        self.scale = scale
-        fwd: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
-        rev: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
-        # collapse parallel edges to minimum weight
-        best: Dict[Tuple[int, int], float] = {}
-        inf = math.inf
-        for u, v, w in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if not 0 <= w < inf:
-                raise ValueError(
-                    f"weight on edge ({u},{v}) must be finite and "
-                    f">= 0: {w}")
-            key = (u, v)
-            if key not in best or w < best[key]:
-                best[key] = w
-        for (u, v), w in sorted(best.items()):
-            fwd[u].append((v, w))
-            rev[v].append((u, w))
-        self._fwd, self._rev = fwd, rev
-        self.max_weight = 0.0
-        self.min_positive_weight = math.inf
-        for nbrs in fwd:
-            for _, w in nbrs:
-                if w > self.max_weight:
-                    self.max_weight = w
-                if 0 < w < self.min_positive_weight:
-                    self.min_positive_weight = w
-        self._edge_map: Optional[Dict[Tuple[int, int], float]] = None
-        self._arrays: Optional[EdgeArrays] = None
-        self._csr: List[Optional[EdgeArrays]] = [None, None]
+    def __init__(self, n: int, edges: Iterable[Edge] = ()):
+        self._merge(n, *(tuple(zip(*edges)) or ((), (), ())))
 
     @classmethod
     def from_arrays(cls, n: int, u: Sequence[int], v: Sequence[int],
-                    w: Sequence[float], scale: float = 1.0) -> "Graph":
-        """``Graph(n, zip(u, v, w))``, validated and min-merged with numpy.
+                    w: Sequence[float]) -> "Graph":
+        """``Graph(n, zip(u, v, w))``, from the edges' columns."""
+        g = cls.__new__(cls)
+        g._merge(n, u, v, w)
+        return g
 
-        Raises the ValueError ``Graph`` raises for the first bad edge.
-        """
+    def _merge(self, n: int, u: Sequence[int], v: Sequence[int],
+               w: Sequence[float]) -> None:
+        """Validate and min-merge with numpy: ValueError for the first edge
+        out of range or with a weight not finite and >= 0."""
         u = np.array(u, dtype=np.int64)
         v = np.array(v, dtype=np.int64)
         w = np.array(w, dtype=np.float64)
@@ -113,15 +93,13 @@ class Graph:
                 raise ValueError(f"edge ({a},{b}) out of range for n={n}")
             raise ValueError(f"weight on edge ({a},{b}) must be finite "
                              f"and >= 0: {float(w[i])}")
-        g = cls.__new__(cls)
-        g.n, g.scale = n, scale
-        g._fwd = g._rev = g._edge_map = None
-        g._arrays = u, v, w = merge_min_arrays(n, u, v, w)
-        g._csr = [None, None]
+        self.n = n
+        self._fwd = self._rev = self._edge_map = None
+        self._arrays = u, v, w = merge_min_arrays(n, u, v, w)
+        self._csr = [None, None]
         pos = w[w > 0]
-        g.max_weight = float(pos.max()) if len(pos) else 0.0
-        g.min_positive_weight = float(pos.min()) if len(pos) else math.inf
-        return g
+        self.max_weight = float(pos.max()) if len(pos) else 0.0
+        self.min_positive_weight = float(pos.min()) if len(pos) else math.inf
 
     @property
     def fwd(self) -> List[List[Tuple[int, float]]]:
@@ -168,9 +146,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        if self._arrays is not None:
-            return len(self._arrays[0])
-        return sum(len(nbrs) for nbrs in self._fwd)
+        return len(self.edge_arrays()[0])
 
     def iter_edges(self) -> Iterator[Edge]:
         for u, nbrs in enumerate(self.fwd):
@@ -183,20 +159,6 @@ class Graph:
             self._edge_map = dict(zip(zip(a.tolist(), b.tolist()),
                                       w.tolist()))
         return self._edge_map.get((u, v))
-
-
-def transpose_view(g: Graph) -> Graph:
-    """O(1) view with forward and reverse adjacency swapped."""
-    t = Graph.__new__(Graph)
-    t.n = g.n
-    t.scale = g.scale
-    t._fwd = g.rev
-    t._rev = g.fwd
-    t.max_weight = g.max_weight
-    t.min_positive_weight = g.min_positive_weight
-    t._edge_map = t._arrays = None
-    t._csr = [None, None]
-    return t
 
 
 class EdgeSet:
@@ -247,17 +209,8 @@ def merge_min(a: EdgeSet, b: EdgeSet) -> EdgeSet:
 
 def augment(g: Graph, h: EdgeSet) -> Graph:
     """Graph over E union H under min-merge; g itself is unmodified."""
-    for (u, v) in h.entries:
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            raise ValueError(f"hopset endpoint ({u},{v}) out of range")
-    merged: Dict[Tuple[int, int], float] = dict(h.entries)
-    for u, v, w in g.iter_edges():
-        key = (u, v)
-        cur = merged.get(key)
-        if cur is None or w < cur:
-            merged[key] = w
-    return Graph(g.n, ((u, v, w) for (u, v), w in merged.items()),
-                 scale=g.scale)
+    return Graph.from_arrays(g.n, *concat_arrays(g.edge_arrays(),
+                                                 h.arrays()))
 
 
 class InducedSubgraph:
@@ -279,16 +232,24 @@ class InducedSubgraph:
         if len(ids) == parent.n:
             self.graph = parent
             return
-        members = self.local_of
+        # filter the parent's lists: local ids keep the global order
+        local = self.local_of
         pfwd = parent.fwd
-        edges = []
-        for g_u in ids:
-            lu = members[g_u]
-            for g_v, w in pfwd[g_u]:
-                lv = members.get(g_v)
+        g = self.graph = Graph.__new__(Graph)
+        g.n = len(ids)
+        g._fwd, g._rev = [], [[] for _ in ids]
+        for lu, x in enumerate(ids):
+            g._fwd.append(nbrs := [])
+            for y, w in pfwd[x]:
+                lv = local.get(y)
                 if lv is not None:
-                    edges.append((lu, lv, w))
-        self.graph = Graph(len(ids), edges, scale=parent.scale)
+                    nbrs.append((lv, w))
+                    g._rev[lv].append((lu, w))
+        g._edge_map = g._arrays = None
+        g._csr = [None, None]
+        pos = [w for nbrs in g._fwd for _, w in nbrs if w > 0]
+        g.max_weight = max(pos, default=0.0)
+        g.min_positive_weight = min(pos, default=math.inf)
 
     def __len__(self) -> int:
         return len(self.global_ids)
@@ -312,9 +273,8 @@ def load_graph(path: str) -> Graph:
     """Parse an edge-list file.
 
     Format: first non-comment line "n m", then m lines "u v [w]" with w
-    defaulting to 1.  Lines starting with '#' are comments.  If the lightest
-    positive weight is below 1, all weights are scaled by its reciprocal and
-    the factor recorded on the graph.
+    defaulting to 1.  Lines starting with '#' are comments.  Weights are
+    kept in the file's units.
     """
     header: Optional[Tuple[int, int]] = None
     edges: List[Edge] = []
@@ -357,12 +317,7 @@ def load_graph(path: str) -> Graph:
     if len(edges) != m:
         raise GraphFormatError(
             f"{path}: header declares {m} edges, found {len(edges)}")
-    min_pos = min((w for _, _, w in edges if w > 0), default=math.inf)
-    scale = 1.0
-    if 0 < min_pos < 1.0:
-        scale = 1.0 / min_pos
-        edges = [(u, v, w * scale) for u, v, w in edges]
-    return Graph(n, edges, scale=scale)
+    return Graph(n, edges)
 
 
 def save_graph(g: Graph, path: str) -> None:

@@ -30,19 +30,7 @@ from .search import (BACKWARD, FORWARD, SearchMemo, SearchResult,
                      bounded_search, select_radius_with_searches)
 
 
-@dataclass
-class LevelAssignment:
-    level: List[int]
-
-    def __getitem__(self, v: int) -> int:
-        return self.level[v]
-
-    def __len__(self) -> int:
-        return len(self.level)
-
-
-def assign_levels(n: int, params: Params,
-                  rng: random.Random) -> LevelAssignment:
+def assign_levels(n: int, params: Params, rng: random.Random) -> List[int]:
     """Per-vertex first-success scan of levels 0..max_level.
 
     Level i is taken with probability min(1, lam*k^(i+1)*log(n)/n); the
@@ -62,7 +50,7 @@ def assign_levels(n: int, params: Params,
                 lvl = i
                 break
         out.append(lvl)
-    return LevelAssignment(out)
+    return out
 
 
 @dataclass
@@ -71,13 +59,6 @@ class RecursionFrame:
     base: float          # the driver-level distance D
     level: int
     kind: str            # root | core | fringe
-
-
-@dataclass
-class LabelState:
-    """Per-vertex (pivot, direction) labels and both-ways X flags."""
-    labels: Dict[int, Set[Tuple[int, str]]]
-    x_flag: Set[int]
 
 
 @dataclass
@@ -221,7 +202,7 @@ def _run_shortcutters(sink: ShortcutSink, sub: InducedSubgraph,
             _emit_shortcuts(sink, sub, s, res, direction)
 
 
-def hs_recurse(frame: RecursionFrame, levels: LevelAssignment,
+def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
                params: Params, sigma_rng: SigmaRng, out: EdgeSet,
                instr: Optional[Instrumentation] = None,
                sink: Optional[ShortcutSink] = None) -> None:
@@ -254,8 +235,9 @@ def hs_recurse(frame: RecursionFrame, levels: LevelAssignment,
     root = sub.parent
     memo = sink.memo if sub.is_full else None
     pivots = [v for v in range(g.n) if levels[sub.to_global(v)] == r]
-    state = LabelState(labels={v: set() for v in range(g.n)}, x_flag=set())
-    labels, x_flag = state.labels, state.x_flag
+    # per vertex, its (pivot, direction) labels; X: labelled both ways
+    labels: Dict[int, Set[Tuple[int, str]]] = {v: set() for v in range(g.n)}
+    x_flag: Set[int] = set()
     fringe_sets: List[Set[int]] = []
 
     for p in pivots:
@@ -333,13 +315,28 @@ def default_scale_range(n: int, weighted: bool,
     return (math.ceil(log_n / 2.0), math.ceil(log_n))
 
 
-def _run_scales(g: Graph, params: Params, seed: int,
-                scales: Sequence[int],
+def normalize_weights(g: Graph) -> Tuple[Graph, float]:
+    """(g with every weight times s, s): s = 1 / g.min_positive_weight
+    when that weight is below 1, else s = 1 and the graph is g itself.
+
+    The drivers assume a lightest positive weight of at least 1: they
+    build on the scaled graph and divide their output by s."""
+    if not g.min_positive_weight < 1.0:
+        return g, 1.0
+    s = 1.0 / g.min_positive_weight
+    u, v, w = g.edge_arrays()
+    return Graph.from_arrays(g.n, u, v, w * s), s
+
+
+def _run_scales(g: Graph, params: Params, seed: int, weighted: bool,
+                scale_range: Optional[Tuple[int, int]],
                 instr: Optional[Instrumentation]) -> EdgeSet:
+    g, s = normalize_weights(g)
+    lo, hi = scale_range or default_scale_range(g.n, weighted, g.max_weight)
     sink = ShortcutSink(g, EdgeSet())
     full = induce(g, range(g.n))
     for rep in range(params.repetitions):
-        for j in scales:
+        for j in range(lo, hi + 1):
             levels = assign_levels(
                 g.n, params, rngmod.stream(seed, "level", rep, j))
             _run_shortcutters(
@@ -354,29 +351,29 @@ def _run_scales(g: Graph, params: Params, seed: int,
 
             hs_recurse(RecursionFrame(full, base, 0, "root"),
                        levels, params, sigma_rng, sink.out, instr, sink)
-    # Copy the weights (same values) while the memo is alive, so that the
-    # hopset shares no allocator pools with the memo's floats.  Dropping
-    # the memo then frees whole pools; otherwise it leaves about two
-    # holes per shortcut, which made the next stages (hopset I/O and
-    # check_hopset) about 10% slower on a 192-vertex random digraph.
-    return EdgeSet({key: w + 0.0 for key, w in sink.out.entries.items()})
+    # Back to the input's units.  The division also copies the weights
+    # while the memo is alive, so the hopset shares no allocator pools
+    # with the memo's floats: dropping the memo then frees whole pools,
+    # where two holes per shortcut made hopset I/O and check_hopset
+    # about 10% slower on a 192-vertex random digraph.
+    return EdgeSet({key: w / s for key, w in sink.out.entries.items()})
 
 
 def hopset_unweighted(g: Graph, params: Params, seed: int = 0, *,
                       scale_range: Optional[Tuple[int, int]] = None,
                       instr: Optional[Instrumentation] = None) -> EdgeSet:
     """Hopset for a unit-weight directed graph."""
-    for _, _, w in g.iter_edges():
-        if w != 1.0:
-            raise ValueError("unweighted driver requires all weights == 1")
-    lo, hi = scale_range or default_scale_range(g.n, weighted=False)
-    return _run_scales(g, params, seed, range(lo, hi + 1), instr)
+    if (g.edge_arrays()[2] != 1.0).any():
+        raise ValueError("unweighted driver requires all weights == 1")
+    return _run_scales(g, params, seed, False, scale_range, instr)
 
 
 def hopset_weighted(g: Graph, params: Params, seed: int = 0, *,
                     scale_range: Optional[Tuple[int, int]] = None,
                     instr: Optional[Instrumentation] = None) -> EdgeSet:
-    """Hopset for a nonnegative-weight directed graph (normalized)."""
-    lo, hi = scale_range or default_scale_range(
-        g.n, weighted=True, max_weight=g.max_weight)
-    return _run_scales(g, params, seed, range(lo, hi + 1), instr)
+    """Hopset for a nonnegative-weight directed graph, in g's units.
+
+    A given ``scale_range`` (inclusive distance-scale exponents) is in
+    the units of ``normalize_weights(g)``, which the build runs on.
+    """
+    return _run_scales(g, params, seed, True, scale_range, instr)

@@ -16,14 +16,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from . import rng as rngmod
-from .graph import EdgeArrays, EdgeSet, Graph, induce, merge_min_arrays
+from .graph import (EdgeArrays, EdgeSet, Graph, concat_arrays, induce,
+                    merge_min_arrays)
 from .hopset import (Instrumentation, RecursionFrame, ShortcutSink,
-                     assign_levels, hs_recurse, _run_shortcutters)
+                     assign_levels, hs_recurse, normalize_weights,
+                     _run_shortcutters)
 from .params import MODE_PAPER, Params
 
 
@@ -64,7 +66,7 @@ def quantize(g: Graph, i: int, scheme: RoundingScheme) -> QuantizedGraph:
     keep = w < 2.0 ** (i + 1)
     w = w[keep]
     q = np.where(w == 0, 1.0, np.ceil(w / unit))
-    qg = Graph.from_arrays(g.n, u[keep], v[keep], q, scale=g.scale)
+    qg = Graph.from_arrays(g.n, u[keep], v[keep], q)
     return QuantizedGraph(base=g, unit=unit, graph=qg)
 
 
@@ -103,22 +105,21 @@ def check_rounding(delta: float, beta: Optional[float]) -> None:
         raise ValueError(f"beta / delta is too large: {beta} / {delta}")
 
 
-def _concat(*parts: EdgeArrays) -> EdgeArrays:
-    return tuple(np.concatenate(cols) for cols in zip(*parts))
-
-
 def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
             beta: Optional[float] = None, sweeps: Optional[int] = None,
             scale_range: Optional[Tuple[int, int]] = None,
             instr: Optional[Instrumentation] = None) -> EdgeSet:
     """Rounded iterated hopset construction.
 
-    Returns the accumulated hopset H; weights are quantized-and-scaled
-    overestimates of true distances.  Scaled weights below the lightest
-    positive weight of ``g`` are floored to 0: an overestimate that
-    light bounds a path with no positive edge, so the pair's distance
-    is 0.
+    Returns the accumulated hopset H in the units of ``g``; weights are
+    quantized-and-scaled overestimates of true distances.  Weights below
+    the lightest positive weight of ``g`` are floored to 0: an estimate
+    that light bounds a path with no positive edge, so the pair's
+    distance is 0.  A given ``scale_range`` (inclusive distance-scale
+    exponents) is in the units of ``normalize_weights(g)``, the graph
+    the build runs on.
     """
+    g, s = normalize_weights(g)
     n = g.n
     if beta is None:
         beta = default_beta(params)
@@ -126,11 +127,8 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
     if sweeps is None:
         sweeps = math.ceil(params.lam * params.log_n ** 2) \
             if params.mode == MODE_PAPER else params.repetitions
-    if scale_range is None:
-        hi = math.ceil(math.log2(n * n * max(g.max_weight, 1.0)))
-        scales: Sequence[int] = range(-2, hi + 1)
-    else:
-        scales = range(scale_range[0], scale_range[1] + 1)
+    lo, hi = scale_range or (
+        -2, math.ceil(math.log2(n * n * max(g.max_weight, 1.0))))
 
     floor = g.min_positive_weight
     hopset: EdgeArrays = (np.empty(0, np.int64), np.empty(0, np.int64),
@@ -140,9 +138,9 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
 
     for sweep in range(sweeps):
         # the working graph: g's edges min-merged with the hopset so far
-        cur = Graph.from_arrays(n, *_concat(g.edge_arrays(), hopset))
+        cur = Graph.from_arrays(n, *concat_arrays(g.edge_arrays(), hopset))
         found = []
-        for i in scales:
+        for i in range(lo, hi + 1):
             scheme = RoundingScheme(scale_index=i, delta=delta, beta=beta)
             qg = quantize(cur, i, scheme)
             if qg.graph.m == 0:
@@ -163,6 +161,6 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
             u, v, wq = sink.out.arrays()
             w = wq * scheme.unit
             found.append((u, v, np.where(w < floor, 0.0, w)))
-        hopset = merge_min_arrays(n, *_concat(hopset, *found))
-    u, v, w = hopset
-    return EdgeSet(dict(zip(zip(u.tolist(), v.tolist()), w.tolist())))
+        hopset = merge_min_arrays(n, *concat_arrays(hopset, *found))
+    u, v, w = hopset  # w / s: back to the input's units
+    return EdgeSet(dict(zip(zip(u.tolist(), v.tolist()), (w / s).tolist())))

@@ -12,6 +12,8 @@ from dataclasses import dataclass, asdict
 
 MODE_PAPER = "paper"
 MODE_PRACTICAL = "practical"
+OVERRIDES = ("L", "c", "repetitions", "interval_count", "interval_width",
+             "rho_min", "rho_max")
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,12 @@ def derive_params(n: int, epsilon: float, k: int = 2, lam: int = 8,
 
     Paper mode ignores ``overrides`` except ``repetitions``.  Practical
     mode accepts explicit constants via ``overrides``; unspecified ones get
-    small defaults suited to desk-scale graphs.
+    small defaults suited to desk-scale graphs.  ValueError for a key
+    not in ``OVERRIDES``.
     """
+    unknown = sorted(set(overrides) - set(OVERRIDES))
+    if unknown:
+        raise ValueError(f"unknown overrides {unknown}")
     if n < 2:
         raise ValueError("n must be >= 2")
     if epsilon < 0:

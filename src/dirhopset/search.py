@@ -232,13 +232,6 @@ class SearchMemo:
         return [self.search(s, d, direction) for s in sources]
 
 
-def related_set(g: Graph, source: int, d: float
-                ) -> Tuple[SearchResult, SearchResult]:
-    """Forward and backward bounded searches; union of reach sets is R_d."""
-    return (bounded_search(g, source, d, FORWARD),
-            bounded_search(g, source, d, BACKWARD))
-
-
 def _fringe_count(sorted_dmins, rho: int, base: float) -> int:
     # vertices with (rho-1)*base < dmin <= (rho+1)*base
     hi = bisect_right(sorted_dmins, (rho + 1) * base)

@@ -68,6 +68,33 @@ def hop_dp(n, edges, source, beta):
     return dist
 
 
+def graph_reference(n, edges):
+    """(fwd, rev, max_weight, min_positive_weight) of the graph on ``n``
+    vertices with ``edges``, built with a Python loop.
+
+    fwd[u] holds (v, w) by ascending v and rev[v] holds (u, w) by
+    ascending u.  Parallel edges collapse to the first of the lightest.
+    ValueError, with the package's message, for the first edge with an
+    endpoint outside [0, n) or a weight that is not finite and >= 0.
+    """
+    best = {}
+    for u, v, w in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if not 0 <= w < INF:
+            raise ValueError(
+                f"weight on edge ({u},{v}) must be finite and >= 0: {w}")
+        if (u, v) not in best or w < best[(u, v)]:
+            best[(u, v)] = w
+    fwd = [[] for _ in range(n)]
+    rev = [[] for _ in range(n)]
+    for (u, v), w in sorted(best.items()):
+        fwd[u].append((v, w))
+        rev[v].append((u, w))
+    positive = [w for w in best.values() if w > 0]
+    return fwd, rev, max(positive, default=0.0), min(positive, default=INF)
+
+
 def quantize_reference(edges, i, unit):
     """{(u, v): units} of the min-merged edges lighter than 2^(i+1), each
     weight rounded up to whole units with math.ceil; zero becomes 1."""

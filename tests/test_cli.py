@@ -1,11 +1,15 @@
 import json
+import random
 
 import pytest
 
 from dirhopset import cli
 from dirhopset.experiment import (ExperimentConfig, ExperimentError,
                                   read_hopset, run_experiment, write_hopset)
-from dirhopset.graph import EdgeSet, load_graph
+from dirhopset.graph import EdgeSet, Graph, load_graph, save_graph
+from dirhopset.hopset import hopset_unweighted, hopset_weighted
+from dirhopset.parallel import phopset
+from dirhopset.params import derive_params
 
 
 class TestGen:
@@ -89,6 +93,35 @@ class TestBuildVerify:
         assert (edge["weight"], edge["distance"]) == (0.9, 1.0)
         assert (pair["beta_dist"], pair["distance"]) == (0.9, 1.0)
         assert "0,2,1.0,0.9,0.9" in open(pairs).read().splitlines()
+
+    @pytest.mark.parametrize("algorithm", ["weighted", "parallel",
+                                           "unweighted"])
+    def test_api_equals_cli(self, tmp_path, algorithm):
+        # the same hopset, in the same units, from the API and the CLI
+        rng = random.Random(30)
+        weights = [1.0] if algorithm == "unweighted" else \
+            [0.3, 0.7, 1.1, 2.9]
+        edges = [(rng.randrange(30), rng.randrange(30), rng.choice(weights))
+                 for _ in range(90)]
+        g = Graph(30, edges)
+        epsilon = 0.5 if algorithm == "parallel" else 0.0
+        params = derive_params(30, epsilon, 2, 1, "practical")
+        if algorithm == "parallel":
+            h = phopset(g, params, 0.2, 3, beta=4.0, sweeps=2)
+        else:
+            driver = hopset_weighted if algorithm == "weighted" \
+                else hopset_unweighted
+            h = driver(g, params, 3)
+        graph, out = str(tmp_path / "g.txt"), str(tmp_path / "h.txt")
+        save_graph(g, graph)
+        assert cli.main(["build", "--graph", graph, "--algorithm", algorithm,
+                         "--epsilon", str(epsilon), "--mode", "practical",
+                         "--lambda", "1", "--seed", "3", "--delta", "0.2",
+                         "--beta", "4", "--sweeps", "2", "--ratio-bound",
+                         "3", "--out", out]) == 0
+        assert len(h) > 0
+        assert open(out).read() == "".join(
+            f"{u} {v} {w!r}\n" for u, v, w in h.sorted_edges())
 
     def test_rerun_byte_identical(self, tmp_path):
         outs, reports = [], []
@@ -257,6 +290,22 @@ class TestMalformedInput:
             "lam": 1, "scale_range": [1, 3], "beta": None, "trace": False,
             "overrides": {"L": 1, "c": 0}}))
         assert cli.main(["build", "--config", str(cfg)]) == 0
+
+    def test_unknown_overrides(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "family": "path", "n": 8, "algorithm": "weighted",
+            "overrides": {"rho_mn": 99, "Lx": 7}}))
+        self.expect_error(capsys, ["build", "--config", str(cfg)],
+                          "config: unknown overrides ['Lx', 'rho_mn']")
+        with pytest.raises(ExperimentError, match="unknown overrides"):
+            ExperimentConfig.from_dict({"overrides": {"n": 5}})
+
+    def test_graph_unfit_for_driver(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("3 2\n0 1 0.5\n1 2 2.0\n")
+        self.expect_error(capsys, ["build", "--graph", str(graph),
+                                   "--algorithm", "unweighted"], "build:")
 
     def test_bad_scale_range(self, capsys):
         self.expect_error(capsys, ["build", "--family", "path", "--n", "8",

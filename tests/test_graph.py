@@ -1,14 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dirhopset.graph import (EdgeSet, Graph, GraphFormatError, augment,
-                             induce, load_graph, merge_min, save_graph,
-                             transpose_view)
+                             induce, load_graph, merge_min, save_graph)
+from dirhopset.search import BACKWARD, bounded_search
 
-from oracles import all_pairs, dijkstra, random_edges
+from oracles import all_pairs, dijkstra, graph_reference, random_edges
 
 weights = st.one_of(
     st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 1.0, 1.5, 3.0]),
@@ -27,6 +28,14 @@ def multigraphs(draw, bad=False):
     if n == 0 and not bad:
         return n, []
     return n, draw(st.lists(st.tuples(vertex, vertex, weight), max_size=24))
+
+
+@st.composite
+def subgraphs(draw):
+    """(n, edges, ids): a multigraph and a sorted vertex subset."""
+    n, edges = draw(multigraphs())
+    ids = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    return n, edges, sorted(ids)
 
 
 def columns(edges):
@@ -50,10 +59,12 @@ class TestLoadGraph:
         assert g.edge_weight(0, 1) == 1.0
 
     def test_normalization(self, tmp_path):
+        # weights stay in the file's units; the drivers normalise them
         g = load_graph(write(tmp_path, "3 2\n0 1 0.5\n1 2 2.0\n"))
-        assert g.scale == 2.0
-        assert g.edge_weight(0, 1) == 1.0
-        assert g.edge_weight(1, 2) == 4.0
+        assert not hasattr(g, "scale")
+        assert g.edge_weight(0, 1) == 0.5
+        assert g.edge_weight(1, 2) == 2.0
+        assert (g.min_positive_weight, g.max_weight) == (0.5, 2.0)
 
     def test_negative_weight(self, tmp_path):
         with pytest.raises(GraphFormatError):
@@ -109,67 +120,81 @@ class TestGraph:
         assert g.min_positive_weight == 2.0
 
 
+def same_graph(got, n, edges):
+    """``got`` equals ``graph_reference(n, edges)``, floats by repr
+    (which tells 0.0 from -0.0 and int from float)."""
+    fwd, rev, max_weight, min_positive_weight = graph_reference(n, edges)
+    assert repr(got.fwd) == repr(fwd)
+    assert repr(got.rev) == repr(rev)
+    assert got.m == sum(map(len, fwd))
+    assert repr(got.max_weight) == repr(max_weight)
+    assert repr(got.min_positive_weight) == repr(min_positive_weight)
+    flat = [(u, v, w) for u, nbrs in enumerate(fwd) for v, w in nbrs]
+    a, b, w = got.edge_arrays()
+    assert (a.dtype, b.dtype, w.dtype) == (np.int64, np.int64, np.float64)
+    assert repr(list(zip(a.tolist(), b.tolist(), w.tolist()))) == repr(flat)
+    weight = {(u, v): w for u, v, w in flat}
+    for u in range(n):
+        for v in range(n):
+            assert repr(got.edge_weight(u, v)) == repr(weight.get((u, v)))
+
+
 class TestFromArrays:
-    """Graph.from_arrays against the Python-loop constructor."""
+    """Graph(n, edges) and Graph.from_arrays against the Python-loop
+    reference constructor."""
 
     @given(multigraphs())
     def test_equals_loop_constructor(self, case):
         n, edges = case
-        want = Graph(n, edges)
-        got = Graph.from_arrays(n, *columns(edges))
-        # repr tells 0.0 from -0.0 and int from float
-        assert repr(got.fwd) == repr(want.fwd)
-        assert repr(got.rev) == repr(want.rev)
-        assert got.m == want.m
-        assert repr(got.max_weight) == repr(want.max_weight)
-        assert repr(got.min_positive_weight) == \
-            repr(want.min_positive_weight)
-        for u in range(n):
-            for v in range(n):
-                assert repr(got.edge_weight(u, v)) == \
-                    repr(want.edge_weight(u, v))
-        for a, b in zip(got.edge_arrays(), want.edge_arrays()):
-            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        same_graph(Graph(n, edges), n, edges)
+        same_graph(Graph.from_arrays(n, *columns(edges)), n, edges)
 
     @given(multigraphs(bad=True))
     def test_raises_like_loop_constructor(self, case):
         n, edges = case
         errors = []
-        for build in (lambda: Graph(n, edges),
+        for build in (lambda: graph_reference(n, edges),
+                      lambda: Graph(n, edges),
                       lambda: Graph.from_arrays(n, *columns(edges))):
             try:
                 build()
                 errors.append(None)
             except ValueError as exc:
                 errors.append(str(exc))
-        assert errors[0] == errors[1]
+        assert errors[0] == errors[1] == errors[2]
 
-    def test_scale_kept(self):
-        g = Graph.from_arrays(2, [0], [1], [2.0], scale=4.0)
-        assert g.scale == 4.0 and g.edge_weight(0, 1) == 2.0
+
+def transpose(g):
+    """The graph with every edge of ``g`` reversed."""
+    return Graph(g.n, [(v, u, w) for u, v, w in g.iter_edges()])
 
 
 class TestTranspose:
+    """``rev`` is the forward adjacency of the transposed graph."""
+
     def test_edge_flipped(self):
-        t = transpose_view(Graph(2, [(0, 1, 1.0)]))
+        g = Graph(2, [(0, 1, 1.0)])
+        t = transpose(g)
         assert t.edge_weight(1, 0) == 1.0
         assert t.edge_weight(0, 1) is None
+        assert t.fwd == g.rev and t.rev == g.fwd
 
     def test_involution(self):
         g = Graph(4, [(0, 1, 1.0), (2, 3, 2.0), (3, 0, 1.0)])
-        tt = transpose_view(transpose_view(g))
+        tt = transpose(transpose(g))
         assert tt.fwd == g.fwd and tt.rev == g.rev
 
     def test_distances_reverse(self):
         rng = random.Random(7)
         edges = random_edges(30, 90, 5, rng)
         g = Graph(30, edges)
-        t = transpose_view(g)
+        t = transpose(g)
         rev_edges = [(v, u, w) for u, v, w in edges]
         for s in range(30):
             want = dijkstra(30, rev_edges, s)
-            got = dijkstra(30, list(t.iter_edges()), s)
-            assert got == want
+            assert dijkstra(30, list(t.iter_edges()), s) == want
+            assert bounded_search(g, s, math.inf, BACKWARD).reached == \
+                {v: d for v, d in enumerate(want) if d < math.inf}
 
 
 class TestInduce:
@@ -210,6 +235,18 @@ class TestInduce:
     def test_empty_subset(self):
         sub = induce(Graph(3, [(0, 1, 1.0)]), [])
         assert sub.graph.n == 0 and sub.graph.m == 0
+
+    @given(subgraphs())
+    @example((3, [(0, 1, 0.0), (1, 0, 2.0), (1, 2, 1.0)], [0, 1]))
+    def test_equals_constructor(self, case):
+        # a frame's lists are filtered from the parent's, not rebuilt
+        n, edges, ids = case
+        g = Graph(n, edges)
+        sub = induce(g, ids)
+        local = {x: i for i, x in enumerate(ids)}
+        same_graph(sub.graph, len(ids),
+                   [(local[u], local[v], w) for u, v, w in g.iter_edges()
+                    if u in local and v in local])
 
 
 edge_sets = st.dictionaries(

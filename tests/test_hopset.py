@@ -5,10 +5,9 @@ import pytest
 
 from dirhopset import rng as rngmod
 from dirhopset.graph import EdgeSet, Graph, induce
-from dirhopset.hopset import (Instrumentation, LevelAssignment,
-                              RecursionFrame, assign_levels,
-                              default_scale_range, hopset_unweighted,
-                              hopset_weighted, hs_recurse)
+from dirhopset.hopset import (Instrumentation, RecursionFrame,
+                              assign_levels, default_scale_range,
+                              hopset_unweighted, hopset_weighted, hs_recurse)
 from dirhopset.params import derive_params
 
 from oracles import dijkstra, random_edges
@@ -23,7 +22,7 @@ class TestAssignLevels:
     def test_all_assigned(self):
         params = practical(100)
         levels = assign_levels(100, params, random.Random(0))
-        assert len(levels) == 100
+        assert type(levels) is list and len(levels) == 100
         assert all(0 <= levels[v] <= params.max_level for v in range(100))
 
     def test_clamp_to_zero(self):
@@ -46,8 +45,8 @@ class TestAssignLevels:
         a = assign_levels(500, params, rngmod.stream(7, "level", 0, 3))
         b = assign_levels(500, params, rngmod.stream(7, "level", 0, 3))
         c = assign_levels(500, params, rngmod.stream(7, "level", 1, 3))
-        assert a.level == b.level
-        assert a.level != c.level
+        assert a == b
+        assert a != c
 
 
 def run_frame(g, levels, params, base=8.0, seed=0, record=False):
@@ -59,7 +58,7 @@ def run_frame(g, levels, params, base=8.0, seed=0, record=False):
         return rngmod.stream(seed, "sigma", gid)
 
     hs_recurse(RecursionFrame(sub, base, 0, "root"),
-               LevelAssignment(levels), params, sigma_rng, out, instr)
+               levels, params, sigma_rng, out, instr)
     return out, instr
 
 
@@ -95,7 +94,7 @@ class TestHsRecurse:
             g = Graph(24, edges)
             params = practical(24)
             levels = assign_levels(24, params, random.Random(trial))
-            out, instr = run_frame(g, levels.level, params, base=4.0,
+            out, instr = run_frame(g, levels, params, base=4.0,
                                    seed=trial, record=True)
             verify_frames(g, instr.frames)
             dist = {}
@@ -109,7 +108,7 @@ class TestHsRecurse:
         g = Graph(30, random_edges(30, 80, 2, rng))
         params = practical(30)
         levels = assign_levels(30, params, random.Random(9))
-        _, instr = run_frame(g, levels.level, params, base=6.0, record=True)
+        _, instr = run_frame(g, levels, params, base=6.0, record=True)
         by_kind = {}
         for ft in instr.frames:
             by_kind.setdefault(ft.kind, []).append(ft.level)
@@ -178,6 +177,18 @@ class TestDrivers:
         a = hopset_unweighted(g, practical(40), 99)
         b = hopset_unweighted(g, practical(40), 99)
         assert a == b
+
+    def test_light_weights_normalised(self):
+        # the hopset of g·s divided by s, s = 1 / the lightest weight
+        rng = random.Random(6)
+        edges = [(u, v, rng.choice([0.3, 0.7, 1.1, 2.9]))
+                 for u, v, _ in random_edges(30, 90, 1, rng)]
+        s = 1.0 / 0.3
+        scaled = Graph(30, [(u, v, w * s) for u, v, w in edges])
+        want = hopset_weighted(scaled, practical(30), 2)
+        got = hopset_weighted(Graph(30, edges), practical(30), 2)
+        assert len(want) > 0
+        assert got.entries == {k: w / s for k, w in want.entries.items()}
 
     def test_scale_range_defaults(self):
         assert default_scale_range(1024, weighted=False) == (5, 10)

@@ -145,6 +145,19 @@ class TestPhopset:
         h = phopset(g, practical(3), delta=0.2, seed=0, beta=4.0, sweeps=2)
         assert h.entries.get((0, 2)) == 0.0
 
+    def test_light_weights_normalised(self):
+        # the hopset of g·s divided by s, s = 1 / the lightest weight
+        rng = random.Random(6)
+        edges = [(u, v, rng.choice([0.3, 0.7, 1.1, 2.9]))
+                 for u, v, _ in random_edges(20, 60, 1, rng)]
+        s = 1.0 / 0.3
+        scaled = Graph(20, [(u, v, w * s) for u, v, w in edges])
+        args = dict(delta=0.2, seed=1, beta=4.0, sweeps=2)
+        want = phopset(scaled, practical(20), **args)
+        got = phopset(Graph(20, edges), practical(20), **args)
+        assert len(want) > 0
+        assert got.entries == {k: w / s for k, w in want.entries.items()}
+
     def test_deterministic(self):
         rng = random.Random(3)
         g = Graph(20, random_edges(20, 50, 3, rng))

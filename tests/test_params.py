@@ -76,6 +76,13 @@ class TestPracticalMode:
         with pytest.raises(ValueError):
             derive_params(64, 0.5, k=1, lam=1, mode=MODE_PRACTICAL)
 
+    @pytest.mark.parametrize("mode", [MODE_PRACTICAL, MODE_PAPER])
+    def test_rejects_unknown_overrides(self, mode):
+        with pytest.raises(ValueError, match=r"\['Lx', 'rho_mn'\]"):
+            derive_params(8, 0.0, 2, 1, mode, rho_mn=99, Lx=7)
+        with pytest.raises(ValueError, match="unknown overrides"):
+            derive_params(8, 0.0, 2, 1, mode, max_level=3)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             derive_params(64, 0.5, mode="turbo")

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirhopset import search as searchmod
-from dirhopset.graph import Graph, transpose_view
+from dirhopset.graph import Graph
 from dirhopset.params import derive_params
 from dirhopset.search import (BACKWARD, CHUNK, FORWARD, SearchMemo,
                               SearchResult, batched_search, bounded_search,
-                              related_set, select_radius,
-                              select_radius_with_searches)
+                              select_radius, select_radius_with_searches)
 
 from oracles import dijkstra, floyd_warshall, random_edges
 
@@ -71,12 +70,20 @@ class TestBoundedSearch:
 
     def test_backward_equals_forward_on_transpose(self):
         rng = random.Random(23)
-        g = Graph(30, random_edges(30, 120, 4, rng))
-        t = transpose_view(g)
+        edges = random_edges(30, 120, 4, rng)
+        g = Graph(30, edges)
+        t = Graph(30, [(v, u, w) for u, v, w in edges])
         for s in (0, 7, 29):
             bwd = bounded_search(g, s, 6.0, BACKWARD).reached
             fwd = bounded_search(t, s, 6.0, FORWARD).reached
             assert bwd == fwd
+
+
+def related_set(g, source, d):
+    """Forward and backward searches; the union of their reach sets is
+    the related set R_d of ``source``."""
+    return (bounded_search(g, source, d, FORWARD),
+            bounded_search(g, source, d, BACKWARD))
 
 
 class TestRelatedSet:

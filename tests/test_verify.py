@@ -108,6 +108,23 @@ class TestCheckHopset:
         rep = check_hopset(g, EdgeSet({(3, 0): 1.0}), beta=3, epsilon=0.0)
         assert any(v.get("edge") == [3, 0] for v in rep.validity_violations)
 
+    def test_tolerance_is_relative(self):
+        # an absolute 1e-9 would pass both shortcuts as exact
+        g = Graph(3, [(0, 1, 1e-12), (1, 2, 1e-12)])
+        rep = check_hopset(g, EdgeSet({(0, 2): 0.0}), beta=2, epsilon=0.0)
+        assert rep.validity_violations[0] == {
+            "edge": [0, 2], "weight": 0.0, "distance": 2e-12}
+        assert {"pair": [0, 2], "beta_dist": 0.0, "distance": 2e-12,
+                "reason": "beta-hop distance below truth"} \
+            in rep.validity_violations
+        g = Graph(3, [(0, 1, 0.0), (1, 2, 0.0)])
+        rep = check_hopset(g, EdgeSet({(0, 2): 1e-12}), beta=1, epsilon=0.0,
+                           collect_pairs=True)
+        assert not rep.validity_violations
+        assert {"pair": [0, 2], "beta_dist": 1e-12, "distance": 0.0} \
+            in rep.ratio_violations
+        assert (0, 2, 0.0, 1e-12, INF) in rep.pair_rows
+
     def test_small_beta_ratio_violation(self):
         g = path_graph(8)
         rep = check_hopset(g, EdgeSet(), beta=2, epsilon=0.0)
