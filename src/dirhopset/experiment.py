@@ -154,12 +154,6 @@ def read_hopset(path: str) -> EdgeSet:
     return out
 
 
-def _load_or_generate(cfg: ExperimentConfig) -> Graph:
-    if cfg.graph_path:
-        return load_graph(cfg.graph_path)
-    return generate(cfg.family, cfg.n, cfg.m, cfg.max_weight, cfg.seed)
-
-
 def _build(cfg: ExperimentConfig, g: Graph, params: Params,
            instr: Optional[Instrumentation]) -> EdgeSet:
     if cfg.algorithm == "unweighted":
@@ -184,7 +178,8 @@ def run_experiment(cfg: ExperimentConfig
     bound was met.
     """
     try:
-        g = _load_or_generate(cfg)
+        g = (load_graph(cfg.graph_path) if cfg.graph_path else generate(
+            cfg.family, cfg.n, cfg.m, cfg.max_weight, cfg.seed))
     except (OSError, ValueError) as exc:
         raise ExperimentError(f"graph: {exc}") from exc
 

@@ -169,6 +169,12 @@ class EdgeSet:
     def __init__(self, entries: Optional[Dict[Tuple[int, int], float]] = None):
         self.entries: Dict[Tuple[int, int], float] = dict(entries or {})
 
+    @classmethod
+    def from_arrays(cls, u: np.ndarray, v: np.ndarray,
+                    w: np.ndarray) -> "EdgeSet":
+        """The edge set of distinct (u, v) pairs with weights w."""
+        return cls(dict(zip(zip(u.tolist(), v.tolist()), w.tolist())))
+
     def add(self, u: int, v: int, w: float) -> None:
         key = (u, v)
         cur = self.entries.get(key)
@@ -185,9 +191,6 @@ class EdgeSet:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, EdgeSet) and self.entries == other.entries
 
-    def copy(self) -> "EdgeSet":
-        return EdgeSet(self.entries)
-
     def sorted_edges(self) -> List[Edge]:
         return [(u, v, w) for (u, v), w in sorted(self.entries.items())]
 
@@ -201,7 +204,7 @@ class EdgeSet:
 
 def merge_min(a: EdgeSet, b: EdgeSet) -> EdgeSet:
     """Union of two edge sets keeping the minimum weight per ordered pair."""
-    out = a.copy()
+    out = EdgeSet(a.entries)
     for (u, v), w in b.entries.items():
         out.add(u, v, w)
     return out
@@ -261,9 +264,6 @@ class InducedSubgraph:
     def to_global(self, local: int) -> int:
         return self.global_ids[local]
 
-    def to_local(self, global_id: int) -> int:
-        return self.local_of[global_id]
-
 
 def induce(g: Graph, subset: Iterable[int]) -> InducedSubgraph:
     return InducedSubgraph(g, subset)
@@ -274,7 +274,8 @@ def load_graph(path: str) -> Graph:
 
     Format: first non-comment line "n m", then m lines "u v [w]" with w
     defaulting to 1.  Lines starting with '#' are comments.  Weights are
-    kept in the file's units.
+    kept in the file's units.  n must fit in 64 bits, and each id in
+    [0, n).
     """
     header: Optional[Tuple[int, int]] = None
     edges: List[Edge] = []
@@ -293,6 +294,9 @@ def load_graph(path: str) -> Graph:
                 except ValueError as exc:
                     raise GraphFormatError(
                         f"{path}:{lineno}: bad header: {exc}") from exc
+                if not -2 ** 63 <= header[0] < 2 ** 63:  # then ids fit too
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: n does not fit in 64 bits")
                 continue
             if len(parts) not in (2, 3):
                 raise GraphFormatError(

@@ -10,9 +10,11 @@ replicated into a dedicated child frame.
 All searches on a driver call's root graph (the driver loop, full frames
 and the re-pricing of other frames' shortcuts) go through one
 ``ShortcutSink``: its ``SearchMemo`` lives for that driver call, and the
-results it hands out are shared, so their ``reached`` dicts are
+results it hands out are shared, so their dicts and arrays are
 read-only.  A full frame's shortcutters that the memo cannot answer are
-searched together, by one batched search per direction.
+searched together, by one batched search per direction, and each one's
+shortcuts go to the sink as one (u, v, w) array chunk.  Other frames
+re-price theirs pair by pair.  A driver min-merges all of them once.
 """
 from __future__ import annotations
 
@@ -24,7 +26,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import rng as rngmod
-from .graph import EdgeSet, Graph, InducedSubgraph, induce
+from .graph import (EdgeArrays, EdgeSet, Graph, InducedSubgraph,
+                    concat_arrays, induce, merge_min_arrays)
 from .params import Params
 from .search import (BACKWARD, FORWARD, SearchMemo, SearchResult,
                      bounded_search, select_radius_with_searches)
@@ -37,20 +40,10 @@ def assign_levels(n: int, params: Params, rng: random.Random) -> List[int]:
     probability clamps to 1 at max_level so every vertex gets a level.
     """
     log_n = params.log_n
-    probs = []
-    for i in range(params.max_level + 1):
-        p = params.lam * (params.k ** (i + 1)) * log_n / n
-        probs.append(min(1.0, p))
-    probs[params.max_level] = 1.0
-    out = []
-    for _ in range(n):
-        lvl = params.max_level
-        for i, p in enumerate(probs):
-            if rng.random() < p:
-                lvl = i
-                break
-        out.append(lvl)
-    return out
+    probs = [min(1.0, params.lam * (params.k ** (i + 1)) * log_n / n)
+             for i in range(params.max_level)] + [1.0]
+    return [next(i for i, p in enumerate(probs) if rng.random() < p)
+            for _ in range(n)]
 
 
 @dataclass
@@ -108,20 +101,30 @@ SigmaRng = Callable[[int], random.Random]
 class ShortcutSink:
     """The shortcut accumulator of one driver call on one root graph.
 
-    Holds the hopset ``out``, the root graph's search memo, and for each
-    (source, direction) the radius up to which that source's full-frame
-    shortcuts are already in ``out`` (inf once a complete search was
-    emitted).  Every shortcut is an exact root distance, so re-emitting
-    a covered pair could not change ``out`` and is skipped.
+    Full frames append (u, v, w) arrays to ``chunks``, other frames add
+    to the ``EdgeSet`` ``out``.  Also holds the root graph's search memo
+    and, for each (source, direction), the radius up to which that
+    source's full-frame shortcuts are already emitted (inf once a
+    complete search was emitted).  Every shortcut is an exact root
+    distance, so re-emitting a covered pair could not change the hopset
+    and is skipped.  ``full`` is the frame of the whole root graph.
     """
 
-    __slots__ = ("root", "out", "memo", "covered")
+    __slots__ = ("root", "full", "out", "chunks", "memo", "covered")
 
-    def __init__(self, root: Graph, out: EdgeSet):
+    def __init__(self, root: Graph):
         self.root = root
-        self.out = out
+        self.full = induce(root, range(root.n))
+        self.out = EdgeSet()
+        self.chunks: List[EdgeArrays] = []
         self.memo = SearchMemo(root)
         self.covered: Dict[Tuple[int, str], float] = {}
+
+    def arrays(self) -> EdgeArrays:
+        """The shortcuts so far, sorted by (u, v), each pair once at its
+        minimum weight."""
+        return merge_min_arrays(self.root.n, *concat_arrays(
+            self.out.arrays(), *self.chunks))
 
 
 def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
@@ -133,7 +136,7 @@ def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
     the root graph so every emitted weight is the exact root distance.
     Self-shortcuts, edges duplicating an existing root edge at equal
     weight and pairs the sink already covers are suppressed.  A full
-    frame's reach set is filtered with numpy.
+    frame's reach set is filtered with numpy into one array chunk.
     """
     root, out = sink.root, sink.out
     src_g = sub.to_global(src_local)
@@ -142,10 +145,9 @@ def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
     if sub.is_full:
         sink.covered[key] = (math.inf if res.complete
                              else max(covered, res.bound))
-        reached = res.reached
         row = np.full(root.n, np.inf)
-        row[np.fromiter(reached, np.int64, len(reached))] = np.fromiter(
-            reached.values(), np.float64, len(reached))
+        vs, ds = res.rows()
+        row[vs] = ds
         keep = (row > covered) & (row < np.inf)
         keep[src_g] = False
         indptr, heads, w = root.csr(reverse=direction != FORWARD)
@@ -153,11 +155,9 @@ def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
         nbrs = heads[lo:hi]
         keep[nbrs[row[nbrs] == w[lo:hi]]] = False  # equal root edges
         vs = np.flatnonzero(keep)
-        for v_g, d in zip(vs.tolist(), row[vs].tolist()):
-            if direction == FORWARD:
-                out.add(src_g, v_g, d)
-            else:
-                out.add(v_g, src_g, d)
+        us = np.full(len(vs), src_g, dtype=np.int64)
+        sink.chunks.append((us, vs, row[vs]) if direction == FORWARD
+                           else (vs, us, row[vs]))
         return
     if len(res.reached) == 1:
         return  # reached only the source: nothing to emit or re-price
@@ -169,10 +169,7 @@ def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
         d = root_dist[v_g]
         if v_g == src_g or d <= covered:
             continue
-        if direction == FORWARD:
-            u, v = src_g, v_g
-        else:
-            u, v = v_g, src_g
+        u, v = (src_g, v_g) if direction == FORWARD else (v_g, src_g)
         if root.edge_weight(u, v) == d:
             continue
         out.add(u, v, d)
@@ -203,18 +200,14 @@ def _run_shortcutters(sink: ShortcutSink, sub: InducedSubgraph,
 
 
 def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
-               params: Params, sigma_rng: SigmaRng, out: EdgeSet,
-               instr: Optional[Instrumentation] = None,
-               sink: Optional[ShortcutSink] = None) -> None:
+               params: Params, sigma_rng: SigmaRng, sink: ShortcutSink,
+               instr: Optional[Instrumentation] = None) -> None:
     """Process one frame and recurse into its fringe and core children.
 
-    Shortcuts go to ``out`` through ``sink``; a driver passes its own
-    sink so the frames share its root memo, otherwise one is made for
-    the frame's root graph.
+    Shortcuts go to ``sink``, a sink of the frame's root graph; its
+    frames share the sink's root memo.
     """
     sub = frame.sub
-    if sink is None:
-        sink = ShortcutSink(sub.parent, out)
     g = sub.graph
     r = frame.level
     if g.n == 0:
@@ -285,10 +278,8 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
     # partition the X-free remainder by exact label set
     groups: Dict[Tuple, List[int]] = {}
     for v in range(g.n):
-        if v in x_flag:
-            continue
-        key = tuple(sorted(labels[v]))
-        groups.setdefault(key, []).append(v)
+        if v not in x_flag:
+            groups.setdefault(tuple(sorted(labels[v])), []).append(v)
     ordered_groups = [groups[k] for k in sorted(groups)]
     if trace is not None:
         trace.groups = [sorted(sub.to_global(v) for v in grp)
@@ -296,14 +287,32 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
 
     if r >= params.max_level:
         return
-    for fringe in fringe_sets:
-        child = induce(root, (sub.to_global(v) for v in fringe))
-        hs_recurse(RecursionFrame(child, frame.base, r + 1, "fringe"),
-                   levels, params, sigma_rng, out, instr, sink)
-    for grp in ordered_groups:
-        child = induce(root, (sub.to_global(v) for v in grp))
-        hs_recurse(RecursionFrame(child, frame.base, r + 1, "core"),
-                   levels, params, sigma_rng, out, instr, sink)
+    for part, kind in ([(f, "fringe") for f in fringe_sets]
+                       + [(grp, "core") for grp in ordered_groups]):
+        child = induce(root, (sub.to_global(v) for v in part))
+        hs_recurse(RecursionFrame(child, frame.base, r + 1, kind),
+                   levels, params, sigma_rng, sink, instr)
+
+
+def _run_scale(sink: ShortcutSink, params: Params, seed: int, keys: Tuple,
+               radius: float, base: float, instr: Optional[Instrumentation],
+               prefix: str = "") -> None:
+    """One distance scale of a driver on the sink's root graph.
+
+    Draws levels from the stream (seed, prefix + "level", *keys), runs
+    the driver loop's shortcutters out to ``radius``, then the root
+    frame from distance ``base`` when it is > 0, with the streams
+    (seed, prefix + "sigma", *keys, pivot).
+    """
+    n = sink.root.n
+    levels = assign_levels(
+        n, params, rngmod.stream(seed, prefix + "level", *keys))
+    _run_shortcutters(sink, sink.full,
+                      [v for v in range(n) if levels[v] <= params.L], radius)
+    if base > 0:
+        hs_recurse(RecursionFrame(sink.full, base, 0, "root"), levels,
+                   params, lambda gid: rngmod.stream(
+                       seed, prefix + "sigma", *keys, gid), sink, instr)
 
 
 def default_scale_range(n: int, weighted: bool,
@@ -333,30 +342,13 @@ def _run_scales(g: Graph, params: Params, seed: int, weighted: bool,
                 instr: Optional[Instrumentation]) -> EdgeSet:
     g, s = normalize_weights(g)
     lo, hi = scale_range or default_scale_range(g.n, weighted, g.max_weight)
-    sink = ShortcutSink(g, EdgeSet())
-    full = induce(g, range(g.n))
+    sink = ShortcutSink(g)
     for rep in range(params.repetitions):
         for j in range(lo, hi + 1):
-            levels = assign_levels(
-                g.n, params, rngmod.stream(seed, "level", rep, j))
-            _run_shortcutters(
-                sink, full, [v for v in range(g.n) if levels[v] <= params.L],
-                2.0 ** (j + 1))
-            base = (2.0 ** j) * (params.k ** (-params.c))
-            if base <= 0:
-                continue
-
-            def sigma_rng(gid: int, _rep=rep, _j=j) -> random.Random:
-                return rngmod.stream(seed, "sigma", _rep, _j, gid)
-
-            hs_recurse(RecursionFrame(full, base, 0, "root"),
-                       levels, params, sigma_rng, sink.out, instr, sink)
-    # Back to the input's units.  The division also copies the weights
-    # while the memo is alive, so the hopset shares no allocator pools
-    # with the memo's floats: dropping the memo then frees whole pools,
-    # where two holes per shortcut made hopset I/O and check_hopset
-    # about 10% slower on a 192-vertex random digraph.
-    return EdgeSet({key: w / s for key, w in sink.out.entries.items()})
+            _run_scale(sink, params, seed, (rep, j), 2.0 ** (j + 1),
+                       (2.0 ** j) * (params.k ** (-params.c)), instr)
+    u, v, w = sink.arrays()
+    return EdgeSet.from_arrays(u, v, w / s)  # in the input's units
 
 
 def hopset_unweighted(g: Graph, params: Params, seed: int = 0, *,

@@ -14,18 +14,15 @@ executor must produce bit-identical output to this serial order.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from . import rng as rngmod
-from .graph import (EdgeArrays, EdgeSet, Graph, concat_arrays, induce,
+from .graph import (EdgeArrays, EdgeSet, Graph, concat_arrays,
                     merge_min_arrays)
-from .hopset import (Instrumentation, RecursionFrame, ShortcutSink,
-                     assign_levels, hs_recurse, normalize_weights,
-                     _run_shortcutters)
+from .hopset import (Instrumentation, ShortcutSink, normalize_weights,
+                     _run_scale)
 from .params import MODE_PAPER, Params
 
 
@@ -145,22 +142,12 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
             qg = quantize(cur, i, scheme)
             if qg.graph.m == 0:
                 continue
-            levels = assign_levels(
-                n, params, rngmod.stream(seed, "plevel", sweep, i))
-            sink = ShortcutSink(qg.graph, EdgeSet())
-            full = induce(qg.graph, range(n))
-            _run_shortcutters(
-                sink, full, [v for v in range(n) if levels[v] <= params.L],
-                shortcut_radius)
-
-            def sigma_rng(gid: int, _s=sweep, _i=i) -> random.Random:
-                return rngmod.stream(seed, "psigma", _s, _i, gid)
-
-            hs_recurse(RecursionFrame(full, recurse_base, 0, "root"),
-                       levels, params, sigma_rng, sink.out, instr, sink)
-            u, v, wq = sink.out.arrays()
+            sink = ShortcutSink(qg.graph)
+            _run_scale(sink, params, seed, (sweep, i), shortcut_radius,
+                       recurse_base, instr, prefix="p")
+            u, v, wq = sink.arrays()
             w = wq * scheme.unit
             found.append((u, v, np.where(w < floor, 0.0, w)))
         hopset = merge_min_arrays(n, *concat_arrays(hopset, *found))
-    u, v, w = hopset  # w / s: back to the input's units
-    return EdgeSet(dict(zip(zip(u.tolist(), v.tolist()), (w / s).tolist())))
+    u, v, w = hopset
+    return EdgeSet.from_arrays(u, v, w / s)  # in the input's units

@@ -10,8 +10,9 @@ verifier's exact distances.  Both serve unweighted and weighted graphs.
 ``SearchMemo`` keeps, per (source, direction), the largest search run on
 one graph and answers smaller radii by filtering it.  Its lifetime is
 one driver call (or one quantized graph of ``phopset``); the graph must
-not change meanwhile.  ``SearchResult.reached`` dicts may be shared
-between a memo and its callers, so they are read-only.
+not change meanwhile.  It keeps a batched search's rows as sparse
+arrays; a ``SearchResult`` builds its ``reached`` dict only when read.
+Results may be shared between a memo and its callers: read-only.
 """
 from __future__ import annotations
 
@@ -32,20 +33,40 @@ BACKWARD = "backward"
 CHUNK = 64  # sources per batched search; bounds its S x n matrix
 THIN = 64  # a batched round that would relax fewer edges is thin
 THIN_ROUNDS = 8  # after more thin rounds in a row, Dijkstra finishes
+Rows = Tuple[np.ndarray, np.ndarray]  # (vertices, distances)
 
 
-@dataclass
 class SearchResult:
-    """Exact distances within ``bound``; ``reached`` is read-only.
+    """Exact distances within ``bound``, as the dict ``reached`` or as
+    ``rows()``, each built from the other on first use; read-only.
 
     ``complete`` means the bound cut off no relaxation that mattered:
     ``reached`` equals the unbounded search's result.
     """
-    source: int
-    bound: float
-    direction: str
-    reached: Dict[int, float]
-    complete: bool = False
+
+    __slots__ = ("source", "bound", "direction", "complete", "_reached",
+                 "_rows")
+
+    def __init__(self, source: int, bound: float, direction: str,
+                 reached: Optional[Dict[int, float]] = None,
+                 complete: bool = False, rows: Optional[Rows] = None):
+        self.source, self.bound, self.direction = source, bound, direction
+        self.complete, self._reached, self._rows = complete, reached, rows
+
+    @property
+    def reached(self) -> Dict[int, float]:
+        if self._reached is None:
+            v, x = self._rows
+            self._reached = dict(zip(v.tolist(), x.tolist()))
+        return self._reached
+
+    def rows(self) -> Rows:
+        """(vertices, distances) arrays of ``reached``, in its order."""
+        if self._rows is None:
+            r = self._reached
+            self._rows = (np.fromiter(r, np.int64, len(r)),
+                          np.fromiter(r.values(), np.float64, len(r)))
+        return self._rows
 
 
 @dataclass
@@ -182,6 +203,8 @@ class SearchMemo:
     the entries <= d, or at any d when it was complete.  Float Dijkstra
     distances within a bound do not depend on the bound, so an answer
     equals a fresh ``bounded_search`` exactly.  Only misses search.
+    Entries from ``search_all`` hold their batched row as sparse arrays,
+    and answers filtered from them are arrays too.
     """
 
     __slots__ = ("graph", "_entries")
@@ -197,24 +220,22 @@ class SearchMemo:
         return entry is not None and (d <= entry[0].bound
                                       or entry[0].complete)
 
-    def _keep(self, res: SearchResult) -> None:
-        self._entries[(res.source, res.direction)] = (
-            res, max(res.reached.values()))
-
     def search(self, source: int, d: float,
                direction: str = FORWARD) -> SearchResult:
         if not self._answers(source, d, direction):
             res = bounded_search(self.graph, source, d, direction)
-            self._keep(res)
+            self._entries[(source, direction)] = (res,
+                                                  max(res.reached.values()))
             return res
         res, maxd = self._entries[(source, direction)]
         if d == res.bound:
             return res
         if d >= maxd:
-            return SearchResult(source, d, direction, res.reached,
-                                res.complete)
-        return SearchResult(source, d, direction,
-                            {v: x for v, x in res.reached.items() if x <= d})
+            return SearchResult(source, d, direction, res._reached,
+                                res.complete, res._rows)
+        v, x = res.rows()
+        keep = x <= d
+        return SearchResult(source, d, direction, rows=(v[keep], x[keep]))
 
     def search_all(self, sources: Sequence[int], d: float,
                    direction: str = FORWARD) -> List[SearchResult]:
@@ -226,9 +247,10 @@ class SearchMemo:
         for block, dist, complete in chunks:
             for s, row, done in zip(block, dist, complete.tolist()):
                 v = np.flatnonzero(row < np.inf)
-                self._keep(SearchResult(s, d, direction,
-                                        dict(zip(v.tolist(),
-                                                 row[v].tolist())), done))
+                x = row[v]
+                self._entries[(s, direction)] = (SearchResult(
+                    s, d, direction, complete=done, rows=(v, x)),
+                    float(x.max()))
         return [self.search(s, d, direction) for s in sources]
 
 

@@ -301,6 +301,16 @@ class TestMalformedInput:
         with pytest.raises(ExperimentError, match="unknown overrides"):
             ExperimentConfig.from_dict({"overrides": {"n": 5}})
 
+    @pytest.mark.parametrize("text", [
+        "100000000000000000000 1\n0 99999999999999999999 1\n",
+        "-100000000000000000000 0\n", "9223372036854775808 0\n"])
+    def test_graph_ids_beyond_64_bits(self, tmp_path, capsys, text):
+        graph = tmp_path / "g.txt"
+        graph.write_text(text)
+        self.expect_error(capsys, ["build", "--graph", str(graph),
+                                   "--algorithm", "weighted"],
+                          "n does not fit in 64 bits")
+
     def test_graph_unfit_for_driver(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"
         graph.write_text("3 2\n0 1 0.5\n1 2 2.0\n")

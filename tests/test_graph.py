@@ -214,7 +214,7 @@ class TestInduce:
         g = Graph(10, [(1, 5, 1.0)])
         sub = induce(g, [5, 1, 8])
         for local in range(len(sub)):
-            assert sub.to_local(sub.to_global(local)) == local
+            assert sub.local_of[sub.to_global(local)] == local
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -2,15 +2,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirhopset import rng as rngmod
 from dirhopset.graph import EdgeSet, Graph, induce
-from dirhopset.hopset import (Instrumentation, RecursionFrame,
+from dirhopset.hopset import (Instrumentation, RecursionFrame, ShortcutSink,
                               assign_levels, default_scale_range,
                               hopset_unweighted, hopset_weighted, hs_recurse)
+from dirhopset.parallel import phopset
 from dirhopset.params import derive_params
 
-from oracles import dijkstra, random_edges
+from oracles import dijkstra, graph_reference, random_edges
 from trace_checks import verify_frames
 
 
@@ -50,7 +52,7 @@ class TestAssignLevels:
 
 
 def run_frame(g, levels, params, base=8.0, seed=0, record=False):
-    out = EdgeSet()
+    sink = ShortcutSink(g)
     instr = Instrumentation(record_frames=record)
     sub = induce(g, range(g.n))
 
@@ -58,8 +60,8 @@ def run_frame(g, levels, params, base=8.0, seed=0, record=False):
         return rngmod.stream(seed, "sigma", gid)
 
     hs_recurse(RecursionFrame(sub, base, 0, "root"),
-               levels, params, sigma_rng, out, instr)
-    return out, instr
+               levels, params, sigma_rng, sink, instr)
+    return EdgeSet.from_arrays(*sink.arrays()), instr
 
 
 class TestHsRecurse:
@@ -194,3 +196,61 @@ class TestDrivers:
         assert default_scale_range(1024, weighted=False) == (5, 10)
         assert default_scale_range(1024, weighted=True, max_weight=16.0) \
             == (-1, 14)
+
+
+@st.composite
+def small_multigraphs(draw):
+    """(n, edges) with zero and fractional weights, parallel edges and
+    self-loops."""
+    n = draw(st.integers(2, 8))
+    vertex = st.integers(0, n - 1)
+    weight = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 1.0,
+                                        1.5, 2.0, 3.0]),
+                       st.floats(0.01, 20.0))
+    return n, draw(st.lists(st.tuples(vertex, vertex, weight), max_size=24))
+
+
+class TestValidHopsets:
+    """Every driver's hopset on small graphs, against the oracle.
+
+    A pair's shortest-path distance is a float sum whose value depends
+    on the order of its terms: the drivers sum from u when they search
+    forward from u and from v when they search backward from v, so the
+    oracle gives both.  ``phopset`` is not checked for copies of root
+    edges: it drops a shortcut equal to an edge of the scale's quantized
+    graph, but an edge too heavy for that scale is not there, and the
+    shortcut can equal it, as on ``[(0, 1, .25), (1, 4, .25), (0, 4, .5)]``.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=small_multigraphs(), c=st.sampled_from([0, 1]),
+           L=st.sampled_from([1, 2]), seed=st.integers(0, 3))
+    @pytest.mark.parametrize("driver", ["weighted", "unweighted",
+                                        "parallel"])
+    def test_valid_without_self_or_root_duplicates(self, driver, case, c, L,
+                                                   seed):
+        n, edges = case
+        if driver == "unweighted":
+            edges = [(u, v, 1.0) for u, v, _ in edges]
+        g = Graph(n, edges)
+        params = practical(n, c=c, L=L)
+        if driver == "parallel":
+            h = phopset(g, params, 0.2, seed, beta=4.0, sweeps=2)
+        else:
+            build = hopset_weighted if driver == "weighted" else \
+                hopset_unweighted
+            h = build(g, params, seed)
+        # the exact drivers build on the weights times s and divide by s
+        mpw = graph_reference(n, edges)[3]
+        s = 1.0 / mpw if mpw < 1.0 else 1.0
+        scaled = [(u, v, w * s) for u, v, w in edges]
+        fwd = [dijkstra(n, scaled, x) for x in range(n)]
+        bwd = [dijkstra(n, scaled, x, reverse=True) for x in range(n)]
+        for (u, v), w in h.entries.items():
+            assert u != v
+            sums = (fwd[u][v] / s, bwd[v][u] / s)
+            if driver == "parallel":
+                assert min(sums) <= w < math.inf
+            else:
+                assert w in sums
+                assert w != g.edge_weight(u, v)

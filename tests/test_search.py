@@ -284,6 +284,36 @@ class TestSearchMemo:
                 assert got.complete == (got.reached == full)
                 assert fresh.complete == (fresh.reached == full)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_array_rows_answer_like_bounded_search(self, data):
+        g = graphs(data.draw, max_n=10, max_m=30)
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1,
+                                     max_size=5))
+        d = data.draw(radii)
+        memo = SearchMemo(g)
+        rows = {}
+        for direction in (FORWARD, BACKWARD):  # fills from batched rows
+            for s, res in zip(sources, memo.search_all(sources, d,
+                                                       direction)):
+                rows[s, direction] = res
+        # answers drawn from the rows must not search again
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("bounded_search", "batched_search"):
+                mp.setattr(searchmod, name, None)
+            for (s, direction), row in rows.items():
+                dists = sorted(row.reached.values())
+                smaller = [x for x in dists if x <= d] + \
+                    [data.draw(st.floats(0.0, min(d, 10.0)))]
+                larger = [d * 2 + 1, math.inf] if row.complete else []
+                for r in [d] + smaller + larger:
+                    got = memo.search(s, r, direction)
+                    same_result(got, bounded_search(g, s, r, direction))
+                    v, x = got.rows()
+                    assert dict(zip(v.tolist(), x.tolist())) == got.reached
+                    assert (got.source, got.bound, got.direction) == \
+                        (s, r, direction)
+
     def test_searches_only_on_miss(self, monkeypatch):
         calls = []
 

@@ -1,23 +1,23 @@
 """The benchmark's tracer names functions of the package by string.
 
-A name that no longer resolves, or a build that never calls
-``EdgeSet.add``, makes a traced benchmark run report a null per-layer
-value.  These tests read ``perfbench/tracing.py`` without installing
-its tracer.
+A name that no longer resolves, or a build that never calls a function
+a per-layer metric divides by (``hopset.emit_yield`` divides by the
+``EdgeSet.add`` calls), makes a traced benchmark run report a null
+per-layer value.  These tests read ``perfbench/tracing.py`` without
+installing its tracer in this process.
 """
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
-import random
+import subprocess
+import sys
+import time
 
 import pytest
 
-from dirhopset.graph import EdgeSet, Graph
-from dirhopset.hopset import hopset_unweighted, hopset_weighted
-from dirhopset.parallel import phopset
-from dirhopset.params import derive_params
-
-from oracles import random_edges
+from dirhopset.graph import Graph
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
     "tracing.py"
@@ -51,24 +51,19 @@ def test_graph_has_the_adjacency_the_tracer_reads():
     assert g.fwd[0] == [(1, 1.0)] and g.rev[1] == [(0, 1.0), (2, 2.0)]
 
 
-@pytest.mark.parametrize("driver", ["weighted", "unweighted", "parallel"])
-def test_every_driver_adds_through_edgeset(monkeypatch, driver):
-    adds = []
-    add = EdgeSet.add
-
-    def counted(self, u, v, w):
-        adds.append((u, v))
-        add(self, u, v, w)
-
-    monkeypatch.setattr(EdgeSet, "add", counted)
-    edges = [(u, v, 1.0) for u, v, _ in
-             random_edges(20, 60, 1, random.Random(4))]
-    g = Graph(20, edges)
-    params = derive_params(20, 0.5, 2, 1, "practical")
-    if driver == "parallel":
-        h = phopset(g, params, 0.2, 0, beta=4.0, sweeps=1)
-    else:
-        build = hopset_weighted if driver == "weighted" else \
-            hopset_unweighted
-        h = build(g, params, 0)
-    assert len(h) > 0 and len(adds) >= len(h)
+@pytest.mark.parametrize("workload", ["exact-gnm", "phopset-layered"])
+def test_traced_round_has_every_layer_metric(tmp_path, workload):
+    # one small traced round, as the benchmark runs it
+    cmd = [sys.executable, str(TRACING.parent / "worker.py"), "--workload",
+           workload, "--seed", "1", "--launched", repr(time.monotonic()),
+           "--out", str(tmp_path / "out"), "--small", "--trace", "1"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["missing"] == []
+    metrics = load_tracing().layer_metrics(
+        result["trace"], result["missing"],
+        result["pipelines"][0]["read_size"])
+    assert [name for name, value in metrics.items() if value is None] == []
