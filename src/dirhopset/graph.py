@@ -3,11 +3,11 @@
 The graph is stored as (u, v, w) numpy arrays sorted by (u, v), and as
 forward and reverse adjacency lists over dense 0-based vertex ids.
 ``Graph(n, edges)`` and ``Graph.from_arrays`` validate and min-merge
-with numpy and build each list on first use; an induced subgraph is
-built as lists, filtered from its parent's.  Weights stay in the
-input's units: the drivers normalise them.  Graphs are immutable after
-construction; EdgeSet is the single mutable accumulator used to collect
-hopset edges.
+with numpy and build each list on first use.  An induced subgraph keeps
+its parent's ids: its adjacency is dicts keyed by member, filtered from
+the parent's lists.  Weights stay in the input's units: the drivers
+normalise them.  Graphs are immutable after construction; EdgeSet is
+the single mutable accumulator used to collect hopset edges.
 """
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ class Graph:
     """
 
     __slots__ = ("n", "_fwd", "_rev", "max_weight", "min_positive_weight",
-                 "_edge_map", "_arrays", "_csr")
+                 "_arrays", "_csr")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         self._merge(n, *(tuple(zip(*edges)) or ((), (), ())))
@@ -94,7 +94,7 @@ class Graph:
             raise ValueError(f"weight on edge ({a},{b}) must be finite "
                              f"and >= 0: {float(w[i])}")
         self.n = n
-        self._fwd = self._rev = self._edge_map = None
+        self._fwd = self._rev = None
         self._arrays = u, v, w = merge_min_arrays(n, u, v, w)
         self._csr = [None, None]
         pos = w[w > 0]
@@ -118,13 +118,6 @@ class Graph:
 
         The arrays are the graph's own: callers must not write to them.
         """
-        if self._arrays is None:
-            fwd = self._fwd
-            u = np.repeat(np.arange(self.n, dtype=np.int64),
-                          [len(nbrs) for nbrs in fwd])
-            vw = np.array([e for nbrs in fwd for e in nbrs],
-                          dtype=np.float64).reshape(-1, 2)
-            self._arrays = (u, vw[:, 0].astype(np.int64), vw[:, 1])
         return self._arrays
 
     def csr(self, reverse: bool = False) -> EdgeArrays:
@@ -154,11 +147,8 @@ class Graph:
                 yield (u, v, w)
 
     def edge_weight(self, u: int, v: int) -> Optional[float]:
-        if self._edge_map is None:
-            a, b, w = self.edge_arrays()
-            self._edge_map = dict(zip(zip(a.tolist(), b.tolist()),
-                                      w.tolist()))
-        return self._edge_map.get((u, v))
+        """The weight of edge (u, v), or None if there is none."""
+        return dict(self.fwd[u]).get(v) if 0 <= u < self.n else None
 
 
 class EdgeSet:
@@ -217,42 +207,39 @@ def augment(g: Graph, h: EdgeSet) -> Graph:
 
 
 class InducedSubgraph:
-    """Materialized subgraph on a vertex subset with local<->global id maps.
+    """The subgraph of ``parent`` induced by a vertex subset, in the
+    parent's ids.
 
-    Local ids follow ascending global id order.  The subgraph on all
-    vertices shares the parent graph instead of copying it.
+    ``global_ids`` lists the members in ascending order.  ``fwd[x]`` and
+    ``rev[x]`` hold, for each member x, the parent's (y, w) pairs whose y
+    is a member, in the parent's order.  ``n`` is the parent's: ids are
+    in [0, n).  The subgraph on all vertices keeps no lists: its
+    ``graph``, the graph its searches run on, is the parent itself.
     """
 
-    __slots__ = ("parent", "global_ids", "local_of", "graph")
+    __slots__ = ("parent", "global_ids", "n", "fwd", "rev",
+                 "min_positive_weight")
 
     def __init__(self, parent: Graph, subset: Iterable[int]):
         ids = sorted(set(subset))
         if ids and (ids[0] < 0 or ids[-1] >= parent.n):
             raise ValueError("vertex id out of range for induced subgraph")
-        self.parent = parent
-        self.global_ids: List[int] = ids
-        self.local_of: Dict[int, int] = {g_id: i for i, g_id in enumerate(ids)}
+        self.parent, self.global_ids, self.n = parent, ids, parent.n
         if len(ids) == parent.n:
-            self.graph = parent
+            self.fwd = self.rev = None
+            self.min_positive_weight = parent.min_positive_weight
             return
-        # filter the parent's lists: local ids keep the global order
-        local = self.local_of
         pfwd = parent.fwd
-        g = self.graph = Graph.__new__(Graph)
-        g.n = len(ids)
-        g._fwd, g._rev = [], [[] for _ in ids]
-        for lu, x in enumerate(ids):
-            g._fwd.append(nbrs := [])
+        fwd, rev = self.fwd, self.rev = {}, {x: [] for x in ids}
+        for x in ids:
+            fwd[x] = nbrs = []
             for y, w in pfwd[x]:
-                lv = local.get(y)
-                if lv is not None:
-                    nbrs.append((lv, w))
-                    g._rev[lv].append((lu, w))
-        g._edge_map = g._arrays = None
-        g._csr = [None, None]
-        pos = [w for nbrs in g._fwd for _, w in nbrs if w > 0]
-        g.max_weight = max(pos, default=0.0)
-        g.min_positive_weight = min(pos, default=math.inf)
+                if y in rev:  # a member
+                    nbrs.append((y, w))
+                    rev[y].append((x, w))
+        self.min_positive_weight = min(
+            (w for nbrs in fwd.values() for _, w in nbrs if w > 0),
+            default=math.inf)
 
     def __len__(self) -> int:
         return len(self.global_ids)
@@ -261,8 +248,9 @@ class InducedSubgraph:
     def is_full(self) -> bool:
         return len(self.global_ids) == self.parent.n
 
-    def to_global(self, local: int) -> int:
-        return self.global_ids[local]
+    @property
+    def graph(self):
+        return self.parent if self.is_full else self
 
 
 def induce(g: Graph, subset: Iterable[int]) -> InducedSubgraph:

@@ -5,7 +5,8 @@ Vertices whose level equals the current recursion depth act as pivots and
 partition the frame via forward/backward label stamps; vertices whose
 level is within L of the depth act as shortcutters and emit weighted
 shortcut edges.  Fringe vertices around each pivot's search boundary are
-replicated into a dedicated child frame.
+replicated into a dedicated child frame.  A frame is a vertex subset of
+the driver call's root graph and keeps the root's ids throughout.
 
 All searches on a driver call's root graph (the driver loop, full frames
 and the re-pricing of other frames' shortcuts) go through one
@@ -128,8 +129,7 @@ class ShortcutSink:
 
 
 def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
-                    src_local: int, res: SearchResult,
-                    direction: str) -> None:
+                    src: int, res: SearchResult, direction: str) -> None:
     """Add shortcut edges for a shortcutter's reach set.
 
     Reach sets come from subgraph searches; weights are repriced against
@@ -138,9 +138,8 @@ def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
     weight and pairs the sink already covers are suppressed.  A full
     frame's reach set is filtered with numpy into one array chunk.
     """
-    root, out = sink.root, sink.out
-    src_g = sub.to_global(src_local)
-    key = (src_g, direction)
+    root = sink.root
+    key = (src, direction)
     covered = sink.covered.get(key, -math.inf)
     if sub.is_full:
         sink.covered[key] = (math.inf if res.complete
@@ -149,13 +148,13 @@ def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
         vs, ds = res.rows()
         row[vs] = ds
         keep = (row > covered) & (row < np.inf)
-        keep[src_g] = False
+        keep[src] = False
         indptr, heads, w = root.csr(reverse=direction != FORWARD)
-        lo, hi = indptr[src_g], indptr[src_g + 1]
+        lo, hi = indptr[src], indptr[src + 1]
         nbrs = heads[lo:hi]
         keep[nbrs[row[nbrs] == w[lo:hi]]] = False  # equal root edges
         vs = np.flatnonzero(keep)
-        us = np.full(len(vs), src_g, dtype=np.int64)
+        us = np.full(len(vs), src, dtype=np.int64)
         sink.chunks.append((us, vs, row[vs]) if direction == FORWARD
                            else (vs, us, row[vs]))
         return
@@ -164,15 +163,14 @@ def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
     maxd = max(res.reached.values())
     if maxd <= covered:
         return
-    root_dist = sink.memo.search(src_g, maxd, direction).reached
-    for v_g in map(sub.to_global, res.reached):
-        d = root_dist[v_g]
-        if v_g == src_g or d <= covered:
+    root_dist = sink.memo.search(src, maxd, direction).reached
+    root_edges = dict((root.fwd if direction == FORWARD else root.rev)[src])
+    for v in res.reached:
+        d = root_dist[v]
+        if v == src or d <= covered or root_edges.get(v) == d:
             continue
-        u, v = (src_g, v_g) if direction == FORWARD else (v_g, src_g)
-        if root.edge_weight(u, v) == d:
-            continue
-        out.add(u, v, d)
+        a, b = (src, v) if direction == FORWARD else (v, src)
+        sink.out.add(a, b, d)
 
 
 def _run_shortcutters(sink: ShortcutSink, sub: InducedSubgraph,
@@ -192,7 +190,7 @@ def _run_shortcutters(sink: ShortcutSink, sub: InducedSubgraph,
                                                direction), direction)
         return
     for direction in (FORWARD, BACKWARD):
-        todo = [s for s in shortcutters  # local ids are global ids here
+        todo = [s for s in shortcutters
                 if sink.covered.get((s, direction), -math.inf) < radius]
         for s, res in zip(todo, sink.memo.search_all(todo, radius,
                                                      direction)):
@@ -210,7 +208,7 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
     sub = frame.sub
     g = sub.graph
     r = frame.level
-    if g.n == 0:
+    if not len(sub):
         return
     d_r = frame.base / ((params.lam ** r) * (params.k ** (r / 2.0)))
     if d_r <= 0 or d_r < g.min_positive_weight:
@@ -225,26 +223,25 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
                                vertices=list(sub.global_ids))
             instr.frames.append(trace)
 
-    root = sub.parent
     memo = sink.memo if sub.is_full else None
-    pivots = [v for v in range(g.n) if levels[sub.to_global(v)] == r]
+    ids = sub.global_ids
+    pivots = [v for v in ids if levels[v] == r]
     # per vertex, its (pivot, direction) labels; X: labelled both ways
-    labels: Dict[int, Set[Tuple[int, str]]] = {v: set() for v in range(g.n)}
+    labels: Dict[int, Set[Tuple[int, str]]] = {v: set() for v in ids}
     x_flag: Set[int] = set()
     fringe_sets: List[Set[int]] = []
 
     for p in pivots:
-        p_g = sub.to_global(p)
         choice, fwd, bwd = select_radius_with_searches(
-            g, p, d_r, params, sigma_rng(p_g), memo)
+            g, p, d_r, params, sigma_rng(p), memo)
         rho = choice.rho
         radius = rho * d_r
         des = {v for v, d in fwd.reached.items() if d <= radius}
         anc = {v for v, d in bwd.reached.items() if d <= radius}
         for v in des:
-            labels[v].add((p_g, "D"))
+            labels[v].add((p, "D"))
         for v in anc:
-            labels[v].add((p_g, "A"))
+            labels[v].add((p, "A"))
         x_flag.update(des & anc)
         dmin: Dict[int, float] = dict(fwd.reached)
         for v, dv in bwd.reached.items():
@@ -261,35 +258,31 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
             lvl["fringe_sizes"].append(choice.fringe_size)
         if trace is not None:
             trace.pivots.append(PivotTrace(
-                pivot=p_g, sigma=choice.sigma, rho=rho,
-                fringe_size=choice.fringe_size,
-                fringe=sorted(sub.to_global(v) for v in fringe),
-                descendants=sorted(sub.to_global(v) for v in des),
-                ancestors=sorted(sub.to_global(v) for v in anc)))
+                pivot=p, sigma=choice.sigma, rho=rho,
+                fringe_size=choice.fringe_size, fringe=sorted(fringe),
+                descendants=sorted(des), ancestors=sorted(anc)))
 
     shortcut_radius = params.rho_max * d_r
-    shortcutters = [v for v in range(g.n)
-                    if levels[sub.to_global(v)] <= r + params.L]
+    shortcutters = [v for v in ids if levels[v] <= r + params.L]
     _run_shortcutters(sink, sub, shortcutters, shortcut_radius)
     if trace is not None:
-        trace.shortcutters = sorted(sub.to_global(s) for s in shortcutters)
-        trace.x_vertices = sorted(sub.to_global(v) for v in x_flag)
+        trace.shortcutters = shortcutters
+        trace.x_vertices = sorted(x_flag)
 
     # partition the X-free remainder by exact label set
     groups: Dict[Tuple, List[int]] = {}
-    for v in range(g.n):
+    for v in ids:
         if v not in x_flag:
             groups.setdefault(tuple(sorted(labels[v])), []).append(v)
     ordered_groups = [groups[k] for k in sorted(groups)]
     if trace is not None:
-        trace.groups = [sorted(sub.to_global(v) for v in grp)
-                        for grp in ordered_groups]
+        trace.groups = ordered_groups
 
     if r >= params.max_level:
         return
     for part, kind in ([(f, "fringe") for f in fringe_sets]
                        + [(grp, "core") for grp in ordered_groups]):
-        child = induce(root, (sub.to_global(v) for v in part))
+        child = induce(sub.parent, part)
         hs_recurse(RecursionFrame(child, frame.base, r + 1, kind),
                    levels, params, sigma_rng, sink, instr)
 

@@ -198,55 +198,49 @@ class TestTranspose:
 
 
 class TestInduce:
+    """A frame keeps its parent's ids; only a partial frame has lists."""
+
     def test_path_gap(self):
         sub = induce(Graph(3, [(0, 1, 1.0), (1, 2, 1.0)]), {0, 2})
-        assert sub.graph.m == 0
-        assert sub.global_ids == [0, 2]
+        assert sub.fwd == {0: [], 2: []} and sub.rev == {0: [], 2: []}
+        assert sub.global_ids == [0, 2] and len(sub) == 2
+        assert sub.graph is sub and sub.n == 3
 
     def test_full_subset_identity(self):
         g = Graph(4, [(0, 1, 1.0), (2, 3, 2.0)])
         sub = induce(g, range(4))
-        assert sorted(sub.graph.iter_edges()) == sorted(g.iter_edges())
         assert sub.is_full
         assert sub.graph is g  # shared, not copied
-
-    def test_roundtrip_ids(self):
-        g = Graph(10, [(1, 5, 1.0)])
-        sub = induce(g, [5, 1, 8])
-        for local in range(len(sub)):
-            assert sub.local_of[sub.to_global(local)] == local
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             induce(Graph(3, []), [0, 7])
 
-    def test_against_filter_oracle(self):
-        rng = random.Random(11)
-        edges = random_edges(40, 160, 4, rng)
-        g = Graph(40, edges)
-        subset = sorted(rng.sample(range(40), 17))
-        sub = induce(g, subset)
-        want = sorted((u, v, w) for u, v, w in edges
-                      if u in set(subset) and v in set(subset))
-        got = sorted((sub.to_global(u), sub.to_global(v), w)
-                     for u, v, w in sub.graph.iter_edges())
-        assert got == want
-
     def test_empty_subset(self):
         sub = induce(Graph(3, [(0, 1, 1.0)]), [])
-        assert sub.graph.n == 0 and sub.graph.m == 0
+        assert len(sub) == 0 and sub.fwd == {} and sub.rev == {}
+        assert sub.min_positive_weight == math.inf
 
     @given(subgraphs())
     @example((3, [(0, 1, 0.0), (1, 0, 2.0), (1, 2, 1.0)], [0, 1]))
-    def test_equals_constructor(self, case):
-        # a frame's lists are filtered from the parent's, not rebuilt
+    @example((3, [(0, 1, 0.5), (0, 1, -0.0), (1, 0, 0.25)], [0, 1]))
+    def test_against_filter_oracle(self, case):
+        # each member's lists are the parent's filtered to members, by
+        # repr; the weight stats are the members' edges' own
         n, edges, ids = case
         g = Graph(n, edges)
-        sub = induce(g, ids)
-        local = {x: i for i, x in enumerate(ids)}
-        same_graph(sub.graph, len(ids),
-                   [(local[u], local[v], w) for u, v, w in g.iter_edges()
-                    if u in local and v in local])
+        frame = induce(g, ids).graph
+        members = set(ids)
+        fwd, rev, _, min_positive_weight = graph_reference(
+            n, [(u, v, w) for u, v, w in edges
+                if u in members and v in members])
+        for x in ids:
+            for got, parent, want in ((frame.fwd, g.fwd, fwd),
+                                      (frame.rev, g.rev, rev)):
+                assert repr(got[x]) == repr(
+                    [(y, w) for y, w in parent[x] if y in members])
+                assert repr(got[x]) == repr(want[x])
+        assert repr(frame.min_positive_weight) == repr(min_positive_weight)
 
 
 edge_sets = st.dictionaries(
