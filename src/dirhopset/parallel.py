@@ -112,11 +112,12 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
     quantized-and-scaled overestimates of true distances.  Weights below
     the lightest positive weight of ``g`` are floored to 0: an estimate
     that light bounds a path with no positive edge, so the pair's
-    distance is 0.  A given ``scale_range`` (inclusive distance-scale
-    exponents) is in the units of ``normalize_weights(g)``, the graph
-    the build runs on.
+    distance is 0.  A pair no lighter than the edge of ``g`` it
+    parallels is left out.  A given ``scale_range`` (inclusive
+    distance-scale exponents) is in the units of ``normalize_weights(g)``,
+    the graph ``gs`` the build runs on.
     """
-    g, s = normalize_weights(g)
+    gs, s = normalize_weights(g)
     n = g.n
     if beta is None:
         beta = default_beta(params)
@@ -125,9 +126,9 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
         sweeps = math.ceil(params.lam * params.log_n ** 2) \
             if params.mode == MODE_PAPER else params.repetitions
     lo, hi = scale_range or (
-        -2, math.ceil(math.log2(n * n * max(g.max_weight, 1.0))))
+        -2, math.ceil(math.log2(n * n * max(gs.max_weight, 1.0))))
 
-    floor = g.min_positive_weight
+    floor = gs.min_positive_weight
     hopset: EdgeArrays = (np.empty(0, np.int64), np.empty(0, np.int64),
                           np.empty(0, np.float64))
     shortcut_radius = 8.0 * (1.0 + delta) * beta / delta
@@ -135,7 +136,7 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
 
     for sweep in range(sweeps):
         # the working graph: g's edges min-merged with the hopset so far
-        cur = Graph.from_arrays(n, *concat_arrays(g.edge_arrays(), hopset))
+        cur = Graph.from_arrays(n, *concat_arrays(gs.edge_arrays(), hopset))
         found = []
         for i in range(lo, hi + 1):
             scheme = RoundingScheme(scale_index=i, delta=delta, beta=beta)
@@ -150,4 +151,13 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
             found.append((u, v, np.where(w < floor, 0.0, w)))
         hopset = merge_min_arrays(n, *concat_arrays(hopset, *found))
     u, v, w = hopset
-    return EdgeSet.from_arrays(u, v, w / s)  # in the input's units
+    w = w / s  # in the input's units
+    if len(w):  # then g has edges too
+        # drop the pairs no lighter than the edge of g they parallel,
+        # which serves G + H as well; no other pair depends on them here
+        gu, gv, gw = g.edge_arrays()
+        gkey, key = gu * n + gv, u * n + v
+        at = np.searchsorted(gkey, key).clip(max=len(gkey) - 1)
+        keep = (gkey[at] != key) | (w < gw[at])
+        u, v, w = u[keep], v[keep], w[keep]
+    return EdgeSet.from_arrays(u, v, w)
