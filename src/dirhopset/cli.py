@@ -104,8 +104,11 @@ def _config_from_args(args: argparse.Namespace,
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    g = generate(args.family or "random-gnm", args.n or 64, args.m,
-                 args.max_weight or 1, args.seed or 0)
+    try:
+        g = generate(args.family, args.n, args.m, args.max_weight or 1,
+                     args.seed or 0)
+    except ValueError as exc:
+        raise ExperimentError(f"graph: {exc}") from exc
     if args.out:
         save_graph(g, args.out)
     else:
@@ -142,7 +145,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     """Per size: the build's wall time, and the rest of the pipeline
     (load or generate, write, verify) as verify time."""
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise ExperimentError(f"config: bad --sizes {args.sizes!r}") from None
     rows = []
     for n in sizes:
         cfg = _config_from_args(args)
@@ -168,7 +174,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    cfg.trace = True
     if cfg.algorithm is None:
         cfg.algorithm = "unweighted"
     report, code = run_experiment(cfg)

@@ -19,7 +19,8 @@ from .graph import EdgeSet, Graph, GraphFormatError, load_graph
 from .hopset import Instrumentation, hopset_unweighted, hopset_weighted
 from .parallel import check_rounding, phopset
 from .params import MODE_PRACTICAL, OVERRIDES, Params, derive_params
-from .verify import VerificationReport, check_hopset, sample_sources
+from .verify import (VerificationReport, check_claim, check_hopset,
+                     sample_sources)
 
 
 class ExperimentError(RuntimeError):
@@ -56,7 +57,6 @@ class ExperimentConfig:
     out: Optional[str] = None
     report_path: Optional[str] = None
     csv_path: Optional[str] = None
-    trace: bool = False
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -183,9 +183,11 @@ def run_experiment(cfg: ExperimentConfig
     except (OSError, ValueError) as exc:
         raise ExperimentError(f"graph: {exc}") from exc
 
+    beta = max(1, g.n - 1) if cfg.verify_beta is None else cfg.verify_beta
     if cfg.verify:
         try:
             sample_sources(g.n, cfg.verify)
+            check_claim(beta, cfg.epsilon, cfg.ratio_bound)
         except ValueError as exc:
             raise ExperimentError(f"verify: {exc}") from exc
 
@@ -197,7 +199,7 @@ def run_experiment(cfg: ExperimentConfig
     except ValueError as exc:
         raise ExperimentError(f"params: {exc}") from exc
 
-    instr = Instrumentation(record_frames=cfg.trace)
+    instr = Instrumentation()
     t0 = time.perf_counter()
     if cfg.algorithm:
         try:
@@ -229,7 +231,6 @@ def run_experiment(cfg: ExperimentConfig
         write_hopset(cfg.out, h, sidecar)
 
     if cfg.verify:
-        beta = cfg.verify_beta if cfg.verify_beta else max(1, g.n - 1)
         report = check_hopset(g, h, beta, cfg.epsilon,
                               pair_sample=cfg.verify, seed=cfg.seed,
                               ratio_bound=cfg.ratio_bound,

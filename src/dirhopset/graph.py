@@ -207,14 +207,12 @@ def augment(g: Graph, h: EdgeSet) -> Graph:
 
 
 class InducedSubgraph:
-    """The subgraph of ``parent`` induced by a vertex subset, in the
-    parent's ids.
+    """The subgraph of ``parent`` induced by the vertices ``global_ids``
+    (ascending), in the parent's ids, which are in [0, n).
 
-    ``global_ids`` lists the members in ascending order.  ``fwd[x]`` and
-    ``rev[x]`` hold, for each member x, the parent's (y, w) pairs whose y
-    is a member, in the parent's order.  ``n`` is the parent's: ids are
-    in [0, n).  The subgraph on all vertices keeps no lists: its
-    ``graph``, the graph its searches run on, is the parent itself.
+    ``fwd[x]`` and ``rev[x]`` hold, for each member x, the parent's
+    (y, w) pairs whose y is a member, in the parent's order.  The
+    subgraph on all vertices shares the parent and keeps no lists.
     """
 
     __slots__ = ("parent", "global_ids", "n", "fwd", "rev",
@@ -247,10 +245,6 @@ class InducedSubgraph:
     @property
     def is_full(self) -> bool:
         return len(self.global_ids) == self.parent.n
-
-    @property
-    def graph(self):
-        return self.parent if self.is_full else self
 
 
 def induce(g: Graph, subset: Iterable[int]) -> InducedSubgraph:

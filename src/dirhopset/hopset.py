@@ -185,9 +185,8 @@ def _run_shortcutters(sink: ShortcutSink, sub: InducedSubgraph,
     if not sub.is_full:
         for s in shortcutters:
             for direction in (FORWARD, BACKWARD):
-                _emit_shortcuts(sink, sub, s,
-                                bounded_search(sub.graph, s, radius,
-                                               direction), direction)
+                res = bounded_search(sub, s, radius, direction)
+                _emit_shortcuts(sink, sub, s, res, direction)
         return
     for direction in (FORWARD, BACKWARD):
         todo = [s for s in shortcutters
@@ -206,10 +205,8 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
     frames share the sink's root memo.
     """
     sub = frame.sub
-    g = sub.graph
+    g = sub.parent if sub.is_full else sub  # what the searches run on
     r = frame.level
-    if not len(sub):
-        return
     d_r = frame.base / ((params.lam ** r) * (params.k ** (r / 2.0)))
     if d_r <= 0 or d_r < g.min_positive_weight:
         return  # searches could only creep along zero-weight edges
@@ -322,10 +319,15 @@ def normalize_weights(g: Graph) -> Tuple[Graph, float]:
     when that weight is below 1, else s = 1 and the graph is g itself.
 
     The drivers assume a lightest positive weight of at least 1: they
-    build on the scaled graph and divide their output by s."""
+    build on the scaled graph and divide their output by s.  ValueError
+    when the heaviest weight times s overflows a float."""
     if not g.min_positive_weight < 1.0:
         return g, 1.0
     s = 1.0 / g.min_positive_weight
+    if not g.max_weight * s < math.inf:
+        raise ValueError(f"weight range overflows a float: heaviest / "
+                         f"lightest positive weight = {g.max_weight!r} / "
+                         f"{g.min_positive_weight!r}")
     u, v, w = g.edge_arrays()
     return Graph.from_arrays(g.n, u, v, w * s), s
 

@@ -152,12 +152,10 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
         hopset = merge_min_arrays(n, *concat_arrays(hopset, *found))
     u, v, w = hopset
     w = w / s  # in the input's units
-    if len(w):  # then g has edges too
-        # drop the pairs no lighter than the edge of g they parallel,
-        # which serves G + H as well; no other pair depends on them here
-        gu, gv, gw = g.edge_arrays()
-        gkey, key = gu * n + gv, u * n + v
-        at = np.searchsorted(gkey, key).clip(max=len(gkey) - 1)
-        keep = (gkey[at] != key) | (w < gw[at])
-        u, v, w = u[keep], v[keep], w[keep]
-    return EdgeSet.from_arrays(u, v, w)
+    # leave out the pairs no lighter than the edge of g they parallel
+    # (H has pairs only if g has edges)
+    gu, gv, gw = g.edge_arrays()
+    gkey, key = gu * n + gv, u * n + v
+    at = np.searchsorted(gkey, key).clip(max=len(gkey) - 1)
+    keep = (gkey[at] != key) | (w < gw[at])
+    return EdgeSet.from_arrays(u[keep], v[keep], w[keep])

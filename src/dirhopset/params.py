@@ -70,8 +70,8 @@ def derive_params(n: int, epsilon: float, k: int = 2, lam: int = 8,
         raise ValueError(f"unknown overrides {unknown}")
     if n < 2:
         raise ValueError("n must be >= 2")
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if k < 2:
         raise ValueError("k must be >= 2")
     log_n = math.log2(n)

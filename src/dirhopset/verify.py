@@ -180,6 +180,16 @@ def sample_sources(n: int, pair_sample, seed: int = 0) -> List[int]:
     raise ValueError(f"unknown pair sampling strategy {pair_sample!r}")
 
 
+def check_claim(beta: int, epsilon: float, ratio_bound=None) -> None:
+    """ValueError unless beta >= 1 and epsilon and ``ratio_bound``
+    (when given) are finite: a NaN bound would pass every ratio."""
+    if beta < 1:
+        raise ValueError(f"beta must be >= 1, got {beta}")
+    for name, x in (("epsilon", epsilon), ("ratio bound", ratio_bound)):
+        if x is not None and not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+
+
 def check_hopset(g: Graph, h: EdgeSet, beta: int, epsilon: float,
                  pair_sample=None, seed: int = 0,
                  ratio_bound: Optional[float] = None,
@@ -190,11 +200,10 @@ def check_hopset(g: Graph, h: EdgeSet, beta: int, epsilon: float,
     sampled pair's beta-hop distance in G + H, is >= (1 - 1e-9) times the
     exact distance.  Ratios against (1 + epsilon) (or ``ratio_bound``)
     are recorded; a pair at distance 0 needs beta-hop distance 0.  Raises
-    ValueError for beta < 1, a hopset endpoint outside [0, n) or a
-    hopset weight that is not finite and >= 0.
+    ValueError for arguments ``check_claim`` rejects, a hopset endpoint
+    outside [0, n) or a hopset weight that is not finite and >= 0.
     """
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
+    check_claim(beta, epsilon, ratio_bound)
     h_uv, h_w = _hopset_arrays(g.n, h)
     edges = _EdgeArrays(g, h_uv, h_w)
     report = VerificationReport(beta_used=beta, hopset_size=len(h))

@@ -198,7 +198,7 @@ class TestConfig:
 class TestRunExperiment:
     def test_trace_counters_present(self):
         cfg = ExperimentConfig(family="path", n=24, epsilon=0.0,
-                               mode="practical", lam=1, trace=True)
+                               mode="practical", lam=1)
         report, code = run_experiment(cfg)
         assert code == 0
         assert report.per_level_counters  # at least level 0 recorded
@@ -287,7 +287,7 @@ class TestMalformedInput:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "family": "path", "n": 8, "epsilon": 0, "mode": "practical",
-            "lam": 1, "scale_range": [1, 3], "beta": None, "trace": False,
+            "lam": 1, "scale_range": [1, 3], "beta": None,
             "overrides": {"L": 1, "c": 0}}))
         assert cli.main(["build", "--config", str(cfg)]) == 0
 
@@ -316,6 +316,52 @@ class TestMalformedInput:
         graph.write_text("3 2\n0 1 0.5\n1 2 2.0\n")
         self.expect_error(capsys, ["build", "--graph", str(graph),
                                    "--algorithm", "unweighted"], "build:")
+
+    VERIFY = ["verify", "--family", "path", "--n", "8", "--hopset", "{h}",
+              "--verify-beta", "1"]
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["bench", "--family", "path", "--sizes", "8,x"], "config: bad --sizes '8,x'"),
+        (["gen", "--family", "path", "--n", "-4"], "graph: n must be >= 1"),
+        (["gen", "--family", "cycle", "--n", "1"], "graph: cycle needs"),
+        (["build", "--family", "path", "--n", "8", "--epsilon", "nan"],
+         "epsilon must be finite"),
+        (["build", "--family", "path", "--n", "8", "--epsilon", "inf",
+          "--verify", "sampled:1"], "epsilon must be finite"),
+        (["build", "--family", "path", "--n", "8", "--epsilon", "-1"],
+         "epsilon must be finite and >= 0"),
+        (["build", "--family", "path", "--n", "8", "--verify-beta", "0"],
+         "verify: beta must be >= 1"),
+        (VERIFY + ["--epsilon", "nan"], "verify: epsilon must be finite"),
+        (VERIFY + ["--ratio-bound", "nan"],
+         "verify: ratio bound must be finite"),
+        (VERIFY + ["--ratio-bound", "inf"],
+         "verify: ratio bound must be finite"),
+        (VERIFY + ["--verify-beta", "0"], "verify: beta must be >= 1"),
+        (VERIFY + ["--verify-beta", "-1"], "verify: beta must be >= 1"),
+        (["build", "--graph", "{tiny}", "--algorithm", "weighted"],
+         "build: weight range overflows a float"),
+        (["build", "--graph", "{tiny}", "--algorithm", "parallel",
+          "--epsilon", "0.5"], "build: weight range overflows a float")])
+    def test_malformed_flag(self, tmp_path, capsys, argv, fragment):
+        # exit 2, one JSON object on stderr, no traceback
+        files = {"h": tmp_path / "h.txt", "tiny": tmp_path / "g.txt"}
+        files["h"].write_text("0 7 100.0\n")
+        files["tiny"].write_text("3 2\n0 1 5e-324\n1 2 1.0\n")
+        argv = [a.format(**files) for a in argv]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert fragment in json.loads(err)["error"]
+        assert "Traceback" not in err
+
+    def test_verify_beta_gates_the_claim(self, tmp_path, capsys):
+        # the hopset edge 0 -> 7 is far too heavy to give 1-hop paths
+        # within 1 + epsilon, so the check must fail with exit 1
+        hopset = tmp_path / "h.txt"
+        hopset.write_text("0 7 100.0\n")
+        assert cli.main(["verify", "--family", "path", "--n", "8",
+                         "--hopset", str(hopset), "--verify-beta", "1"]) == 1
+        assert "ratio violations: 21" in capsys.readouterr().out
 
     def test_bad_scale_range(self, capsys):
         self.expect_error(capsys, ["build", "--family", "path", "--n", "8",

@@ -204,13 +204,14 @@ class TestInduce:
         sub = induce(Graph(3, [(0, 1, 1.0), (1, 2, 1.0)]), {0, 2})
         assert sub.fwd == {0: [], 2: []} and sub.rev == {0: [], 2: []}
         assert sub.global_ids == [0, 2] and len(sub) == 2
-        assert sub.graph is sub and sub.n == 3
+        assert not sub.is_full and sub.n == 3
 
     def test_full_subset_identity(self):
         g = Graph(4, [(0, 1, 1.0), (2, 3, 2.0)])
         sub = induce(g, range(4))
         assert sub.is_full
-        assert sub.graph is g  # shared, not copied
+        assert sub.parent is g and sub.fwd is None  # shared, not copied
+        assert sub.min_positive_weight == 1.0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -229,7 +230,9 @@ class TestInduce:
         # repr; the weight stats are the members' edges' own
         n, edges, ids = case
         g = Graph(n, edges)
-        frame = induce(g, ids).graph
+        frame = induce(g, ids)
+        if frame.is_full:  # searches run on g itself
+            frame = g
         members = set(ids)
         fwd, rev, _, min_positive_weight = graph_reference(
             n, [(u, v, w) for u, v, w in edges

@@ -192,6 +192,15 @@ class TestDrivers:
         assert len(want) > 0
         assert got.entries == {k: w / s for k, w in want.entries.items()}
 
+    @pytest.mark.parametrize("build", [
+        lambda g: hopset_weighted(g, practical(3)),
+        lambda g: phopset(g, practical(3), 0.2, beta=4.0)])
+    def test_weight_range_overflow_named(self, build):
+        # 1 / 5e-324 is inf: the scaled weights cannot be represented
+        g = Graph(3, [(0, 1, 5e-324), (1, 2, 1.0)])
+        with pytest.raises(ValueError, match="weight range overflows"):
+            build(g)
+
     def test_scale_range_defaults(self):
         assert default_scale_range(1024, weighted=False) == (5, 10)
         assert default_scale_range(1024, weighted=True, max_weight=16.0) \

@@ -72,6 +72,12 @@ class TestPracticalMode:
             derive_params(64, 0.5, k=2, lam=1, mode=MODE_PRACTICAL,
                           rho_min=3.0, rho_max=100.0)
 
+    @pytest.mark.parametrize("mode", [MODE_PRACTICAL, MODE_PAPER])
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.5])
+    def test_rejects_bad_epsilon(self, mode, epsilon):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            derive_params(64, epsilon, k=2, lam=1, mode=mode)
+
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
             derive_params(64, 0.5, k=1, lam=1, mode=MODE_PRACTICAL)

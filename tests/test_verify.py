@@ -182,6 +182,18 @@ class TestCheckHopset:
             check_hopset(path_graph(4), EdgeSet(entries), beta=3,
                          epsilon=0.0)
 
+    @pytest.mark.parametrize("kw, fragment", [
+        ({"epsilon": math.nan}, "epsilon must be finite"),
+        ({"epsilon": INF}, "epsilon must be finite"),
+        ({"ratio_bound": math.nan}, "ratio bound must be finite"),
+        ({"ratio_bound": INF}, "ratio bound must be finite"),
+        ({"beta": 0}, "beta must be >= 1")])
+    def test_bad_claim_rejected(self, kw, fragment):
+        # a NaN bound would pass every ratio
+        args = {"beta": 3, "epsilon": 0.0, **kw}
+        with pytest.raises(ValueError, match=fragment):
+            check_hopset(path_graph(4), EdgeSet({(0, 3): 9.0}), **args)
+
     def test_json_roundtrip_stable(self):
         g = path_graph(6)
         a = check_hopset(g, EdgeSet(), beta=5, epsilon=0.0).to_json()
