@@ -321,7 +321,8 @@ class TestMalformedInput:
               "--verify-beta", "1"]
 
     @pytest.mark.parametrize("argv, fragment", [
-        (["bench", "--family", "path", "--sizes", "8,x"], "config: bad --sizes '8,x'"),
+        (["bench", "--family", "path", "--sizes", "8,x"],
+         "config: bad --sizes '8,x'"),
         (["gen", "--family", "path", "--n", "-4"], "graph: n must be >= 1"),
         (["gen", "--family", "cycle", "--n", "1"], "graph: cycle needs"),
         (["build", "--family", "path", "--n", "8", "--epsilon", "nan"],
