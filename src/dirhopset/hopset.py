@@ -8,20 +8,21 @@ shortcut edges.  Fringe vertices around each pivot's search boundary are
 replicated into a dedicated child frame.  A frame is a vertex subset of
 the driver call's root graph and keeps the root's ids throughout.
 
-All searches on a driver call's root graph (the driver loop, full frames
-and the re-pricing of other frames' shortcuts) go through one
-``ShortcutSink``: its ``SearchMemo`` lives for that driver call, and the
-results it hands out are shared, so their dicts and arrays are
-read-only.  A full frame's shortcutters that the memo cannot answer are
-searched together, by one batched search per direction, and each one's
-shortcuts go to the sink as one (u, v, w) array chunk.  Other frames
-re-price theirs pair by pair.  A driver min-merges all of them once.
+Every search on a driver call's root graph is batched, through the
+``SearchMemo`` of one ``ShortcutSink`` that lives for the call; its
+results are shared, so read-only.  A frame searches from its
+shortcutters first, so that its pivots' searches are memo hits.  A full
+frame's shortcuts go to the sink as one (u, v, w) array chunk per
+shortcutter.  Other frames search within themselves and record what
+they reach; the sink re-prices all the records at once on the root
+graph.  A driver min-merges every shortcut once.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -31,7 +32,7 @@ from .graph import (EdgeArrays, EdgeSet, Graph, InducedSubgraph,
                     concat_arrays, induce, merge_min_arrays)
 from .params import Params
 from .search import (BACKWARD, FORWARD, SearchMemo, SearchResult,
-                     bounded_search, select_radius_with_searches)
+                     select_radius_with_searches)
 
 
 def assign_levels(n: int, params: Params, rng: random.Random) -> List[int]:
@@ -102,97 +103,112 @@ SigmaRng = Callable[[int], random.Random]
 class ShortcutSink:
     """The shortcut accumulator of one driver call on one root graph.
 
-    Full frames append (u, v, w) arrays to ``chunks``, other frames add
-    to the ``EdgeSet`` ``out``.  Also holds the root graph's search memo
-    and, for each (source, direction), the radius up to which that
-    source's full-frame shortcuts are already emitted (inf once a
-    complete search was emitted).  Every shortcut is an exact root
-    distance, so re-emitting a covered pair could not change the hopset
-    and is skipped.  ``full`` is the frame of the whole root graph.
+    Full frames append (u, v, w) arrays to ``chunks``.  Other frames
+    append (source, reached vertices, maxd, covered) records to
+    ``pending[direction]``, which ``arrays()`` re-prices into the
+    ``EdgeSet`` ``out``.  Also holds the root graph's search memo and,
+    for each (source, direction), the radius up to which that source's
+    full-frame shortcuts are already emitted (inf once a complete search
+    was emitted).  Every shortcut is an exact root distance, so
+    re-emitting a covered pair could not change the hopset and is
+    skipped.  ``full`` is the frame of the whole root graph.
     """
 
-    __slots__ = ("root", "full", "out", "chunks", "memo", "covered")
+    __slots__ = ("root", "full", "out", "chunks", "pending", "memo",
+                 "covered")
 
     def __init__(self, root: Graph):
         self.root = root
         self.full = induce(root, range(root.n))
         self.out = EdgeSet()
         self.chunks: List[EdgeArrays] = []
+        self.pending: Dict[str, List[Tuple]] = {}
         self.memo = SearchMemo(root)
         self.covered: Dict[Tuple[int, str], float] = {}
 
     def arrays(self) -> EdgeArrays:
         """The shortcuts so far, sorted by (u, v), each pair once at its
-        minimum weight."""
-        return merge_min_arrays(self.root.n, *concat_arrays(
+        minimum weight.  ``pending`` is re-priced first, per direction:
+        one batched root search per source at the largest maxd recorded
+        for it, then an add for each pair that is not a self pair, within
+        its record's ``covered`` or equal to the root edge it parallels
+        (a sorted join against the root's CSR)."""
+        n = self.root.n
+        for direction in (FORWARD, BACKWARD):
+            recs = sorted(self.pending.pop(direction, []),
+                          key=lambda r: (r[0], r[2]))
+            bound = {r[0]: r[2] for r in recs}  # ascending, at largest maxd
+            count = [len(r[1]) for r in recs]
+            us = np.repeat(np.array([r[0] for r in recs], np.int64), count)
+            vs = np.fromiter(chain.from_iterable(r[1] for r in recs),
+                             np.int64, len(us))
+            d = np.empty(len(us))
+            cut = np.searchsorted(us, [*bound, n]).tolist()
+            row = np.full(n, np.inf)
+            for i, res in enumerate(self.memo.search_all(
+                    list(bound), list(bound.values()), direction)):
+                v, x = res.rows()
+                row[v] = x
+                d[cut[i]:cut[i + 1]] = row[vs[cut[i]:cut[i + 1]]]
+                row[v] = np.inf
+            indptr, heads, w = self.root.csr(reverse=direction != FORWARD)
+            ekey = np.repeat(np.arange(n) * n, np.diff(indptr)) + heads
+            key = us * n + vs
+            at = np.searchsorted(ekey, key).clip(max=len(ekey) - 1)
+            keep = ((us != vs) & (d > np.repeat([r[3] for r in recs], count))
+                    & ((ekey[at] != key) | (w[at] != d)))
+            u, v = (us, vs) if direction == FORWARD else (vs, us)
+            for a, b, x in zip(u[keep].tolist(), v[keep].tolist(),
+                               d[keep].tolist()):
+                self.out.add(a, b, x)
+        return merge_min_arrays(n, *concat_arrays(
             self.out.arrays(), *self.chunks))
 
 
 def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
                     src: int, res: SearchResult, direction: str) -> None:
-    """Add shortcut edges for a shortcutter's reach set.
-
-    Reach sets come from subgraph searches; weights are repriced against
-    the root graph so every emitted weight is the exact root distance.
-    Self-shortcuts, edges duplicating an existing root edge at equal
-    weight and pairs the sink already covers are suppressed.  A full
-    frame's reach set is filtered with numpy into one array chunk.
-    """
-    root = sink.root
+    """Emit a shortcutter's shortcuts at exact root distances, less self
+    pairs, pairs equal to the root edge they parallel and covered pairs.
+    A full frame's root search row becomes one array chunk; another
+    frame's reach set is recorded for ``arrays()`` to re-price, less the
+    vertices within the covered radius, whose root distance is too."""
     key = (src, direction)
     covered = sink.covered.get(key, -math.inf)
-    if sub.is_full:
-        sink.covered[key] = (math.inf if res.complete
-                             else max(covered, res.bound))
-        row = np.full(root.n, np.inf)
-        vs, ds = res.rows()
-        row[vs] = ds
-        keep = (row > covered) & (row < np.inf)
-        keep[src] = False
-        indptr, heads, w = root.csr(reverse=direction != FORWARD)
-        lo, hi = indptr[src], indptr[src + 1]
-        nbrs = heads[lo:hi]
-        keep[nbrs[row[nbrs] == w[lo:hi]]] = False  # equal root edges
-        vs = np.flatnonzero(keep)
-        us = np.full(len(vs), src, dtype=np.int64)
-        sink.chunks.append((us, vs, row[vs]) if direction == FORWARD
-                           else (vs, us, row[vs]))
+    if not sub.is_full:
+        reached, maxd = res.reached, max(res.reached.values())
+        if len(reached) > 1 and maxd > covered:
+            sink.pending.setdefault(direction, []).append((src, [
+                v for v, x in reached.items() if x > covered], maxd, covered))
         return
-    if len(res.reached) == 1:
-        return  # reached only the source: nothing to emit or re-price
-    maxd = max(res.reached.values())
-    if maxd <= covered:
-        return
-    root_dist = sink.memo.search(src, maxd, direction).reached
-    root_edges = dict((root.fwd if direction == FORWARD else root.rev)[src])
-    for v in res.reached:
-        d = root_dist[v]
-        if v == src or d <= covered or root_edges.get(v) == d:
-            continue
-        a, b = (src, v) if direction == FORWARD else (v, src)
-        sink.out.add(a, b, d)
+    sink.covered[key] = (math.inf if res.complete
+                         else max(covered, res.bound))
+    row = np.full(sink.root.n, np.inf)
+    vs, ds = res.rows()
+    row[vs] = ds
+    keep = (row > covered) & (row < np.inf)
+    keep[src] = False
+    indptr, heads, w = sink.root.csr(reverse=direction != FORWARD)
+    lo, hi = indptr[src], indptr[src + 1]
+    nbrs = heads[lo:hi]
+    keep[nbrs[row[nbrs] == w[lo:hi]]] = False  # equal root edges
+    vs = np.flatnonzero(keep)
+    us = np.full(len(vs), src, dtype=np.int64)
+    sink.chunks.append((us, vs, row[vs]) if direction == FORWARD
+                       else (vs, us, row[vs]))
 
 
 def _run_shortcutters(sink: ShortcutSink, sub: InducedSubgraph,
-                      shortcutters: Sequence[int], radius: float) -> None:
-    """Search ``radius`` both ways from each shortcutter and emit.
-
-    In a full frame the searches go through the root memo, whose misses
-    are searched together, one batched search per direction, and a
-    direction the sink already covers out to ``radius`` is skipped
-    without searching.
-    """
-    if not sub.is_full:
-        for s in shortcutters:
-            for direction in (FORWARD, BACKWARD):
-                res = bounded_search(sub, s, radius, direction)
-                _emit_shortcuts(sink, sub, s, res, direction)
-        return
+                      memo: SearchMemo, shortcutters: Sequence[int],
+                      radius: float) -> None:
+    """Search ``radius`` both ways from each shortcutter through ``memo``,
+    a memo of the frame's graph (batched in a full frame), and emit; a
+    direction the sink already covers out to ``radius`` is skipped."""
     for direction in (FORWARD, BACKWARD):
         todo = [s for s in shortcutters
                 if sink.covered.get((s, direction), -math.inf) < radius]
-        for s, res in zip(todo, sink.memo.search_all(todo, radius,
-                                                     direction)):
+        found = (memo.search_all(todo, radius, direction) if sub.is_full
+                 else [memo.search(s, radius, direction) for s in todo])
+        for s, res in zip(todo, found):
             _emit_shortcuts(sink, sub, s, res, direction)
 
 
@@ -201,14 +217,14 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
                instr: Optional[Instrumentation] = None) -> None:
     """Process one frame and recurse into its fringe and core children.
 
-    Shortcuts go to ``sink``, a sink of the frame's root graph; its
-    frames share the sink's root memo.
+    Shortcuts go to ``sink``, a sink of the frame's root graph.  The
+    frame searches from its shortcutters, then from its pivots, through
+    the sink's root memo if it is full, else through a memo of its own.
     """
     sub = frame.sub
-    g = sub.parent if sub.is_full else sub  # what the searches run on
     r = frame.level
     d_r = frame.base / ((params.lam ** r) * (params.k ** (r / 2.0)))
-    if d_r <= 0 or d_r < g.min_positive_weight:
+    if d_r <= 0 or d_r < sub.min_positive_weight:
         return  # searches could only creep along zero-weight edges
 
     trace: Optional[FrameTrace] = None
@@ -220,8 +236,10 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
                                vertices=list(sub.global_ids))
             instr.frames.append(trace)
 
-    memo = sink.memo if sub.is_full else None
+    memo = sink.memo if sub.is_full else SearchMemo(sub)
     ids = sub.global_ids
+    shortcutters = [v for v in ids if levels[v] <= r + params.L]
+    _run_shortcutters(sink, sub, memo, shortcutters, params.rho_max * d_r)
     pivots = [v for v in ids if levels[v] == r]
     # per vertex, its (pivot, direction) labels; X: labelled both ways
     labels: Dict[int, Set[Tuple[int, str]]] = {v: set() for v in ids}
@@ -230,7 +248,7 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
 
     for p in pivots:
         choice, fwd, bwd = select_radius_with_searches(
-            g, p, d_r, params, sigma_rng(p), memo)
+            memo.graph, p, d_r, params, sigma_rng(p), memo)
         rho = choice.rho
         radius = rho * d_r
         des = {v for v, d in fwd.reached.items() if d <= radius}
@@ -259,9 +277,6 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
                 fringe_size=choice.fringe_size, fringe=sorted(fringe),
                 descendants=sorted(des), ancestors=sorted(anc)))
 
-    shortcut_radius = params.rho_max * d_r
-    shortcutters = [v for v in ids if levels[v] <= r + params.L]
-    _run_shortcutters(sink, sub, shortcutters, shortcut_radius)
     if trace is not None:
         trace.shortcutters = shortcutters
         trace.x_vertices = sorted(x_flag)
@@ -292,13 +307,17 @@ def _run_scale(sink: ShortcutSink, params: Params, seed: int, keys: Tuple,
     Draws levels from the stream (seed, prefix + "level", *keys), runs
     the driver loop's shortcutters out to ``radius``, then the root
     frame from distance ``base`` when it is > 0, with the streams
-    (seed, prefix + "sigma", *keys, pivot).
+    (seed, prefix + "sigma", *keys, pivot).  The driver loop is skipped
+    when the root frame subsumes it: that frame runs (base >= the
+    lightest positive weight, which is > 0) and searches the same
+    shortcutters at least as far (rho_max * base >= radius).
     """
-    n = sink.root.n
+    root = sink.root
     levels = assign_levels(
-        n, params, rngmod.stream(seed, prefix + "level", *keys))
-    _run_shortcutters(sink, sink.full,
-                      [v for v in range(n) if levels[v] <= params.L], radius)
+        root.n, params, rngmod.stream(seed, prefix + "level", *keys))
+    if radius > params.rho_max * base or base < root.min_positive_weight:
+        _run_shortcutters(sink, sink.full, sink.memo, [
+            v for v in range(root.n) if levels[v] <= params.L], radius)
     if base > 0:
         hs_recurse(RecursionFrame(sink.full, base, 0, "root"), levels,
                    params, lambda gid: rngmod.stream(

@@ -70,8 +70,8 @@ def quantize(g: Graph, i: int, scheme: RoundingScheme) -> QuantizedGraph:
 def derive_parallel_params(n: int, epsilon: float, k: int = 2,
                            lam: int = 8) -> Tuple[float, float, int, float]:
     """(delta, epsilon_inner, L, beta) from the literal formulas."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     log_n = math.log2(n)
     delta = epsilon / (8.0 * log_n)
     epsilon_inner = epsilon / (8.0 * log_n)

@@ -2,17 +2,17 @@
 
 ``bounded_search`` is binary-heap Dijkstra from one source over the
 adjacency lists; backward searches walk the reverse adjacency.
-``batched_search`` runs the same searches from many sources at once,
-relaxing the graph's CSR arrays for a matrix of rows per round, and
-gives the same floats; it serves the root graph's shortcutters and the
-verifier's exact distances.  Both serve unweighted and weighted graphs.
+``batched_search`` runs the same searches from many sources at once, at
+one bound or one per source, relaxing the graph's CSR arrays for a
+matrix of rows per round, and gives the same floats; it serves every
+search on a driver's root graph and the verifier's exact distances.
 
 ``SearchMemo`` keeps, per (source, direction), the largest search run on
-one graph and answers smaller radii by filtering it.  Its lifetime is
-one driver call (or one quantized graph of ``phopset``); the graph must
-not change meanwhile.  It keeps a batched search's rows as sparse
-arrays; a ``SearchResult`` builds its ``reached`` dict only when read.
-Results may be shared between a memo and its callers: read-only.
+one graph and answers smaller radii by filtering it.  It lives for one
+driver call, quantized graph of ``phopset`` or frame, while the graph
+cannot change.  It keeps a batched search's rows as sparse arrays; a
+``SearchResult`` builds its ``reached`` dict only when read.  Results
+may be shared between a memo and its callers: read-only.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,6 +34,7 @@ CHUNK = 64  # sources per batched search; bounds its S x n matrix
 THIN = 64  # a batched round that would relax fewer edges is thin
 THIN_ROUNDS = 8  # after more thin rounds in a row, Dijkstra finishes
 Rows = Tuple[np.ndarray, np.ndarray]  # (vertices, distances)
+Bounds = Union[float, Sequence[float]]  # one bound, or one per source
 
 
 class SearchResult:
@@ -117,36 +118,40 @@ def bounded_search(g: Graph, source: int, d: float,
                         reached=dist, complete=all(v in dist for v in cut))
 
 
-def batched_search(g: Graph, sources: Sequence[int], d: float,
+def batched_search(g: Graph, sources: Sequence[int], d: Bounds,
                    direction: str = FORWARD
                    ) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray]]:
-    """``bounded_search`` from many sources, CHUNK at a time.
+    """``bounded_search`` from many sources, CHUNK at a time, at the one
+    bound ``d`` or, when ``d`` is a sequence, at d[i] from sources[i].
 
     Yields (block, dist, complete) per chunk of ``sources``: row i of
     the new S x n matrix ``dist`` holds block[i]'s distances (inf where
     not reached) and ``complete[i]`` its ``complete`` flag.
 
     Each round relaxes the edges out of the entries the previous round
-    lowered, keeps the candidates <= d that beat their entry, and lowers
-    each entry to its least candidate.  After more than THIN_ROUNDS
-    rounds in a row that would each relax fewer than THIN edges (a long
-    thin tail, as on a path), each row with entries still to expand is
-    finished by Dijkstra from them, since a round costs about as much
-    as THIN heap steps.  Both converge to the same fixpoint, and because
-    fl(a + w) is monotone in a for w >= 0 it equals Dijkstra's
-    distances float for float.  A row is complete when every
-    relaxation cut off by the bound reached a vertex reached anyway.
+    lowered, keeps the candidates within their row's bound that beat
+    their entry, and lowers each entry to its least candidate.  After
+    more than THIN_ROUNDS rounds in a row that would each relax fewer
+    than THIN edges (a long thin tail, as on a path), each row with
+    entries still to expand is finished by Dijkstra from them, at that
+    row's bound, since a round costs about as much as THIN heap steps.
+    Both converge to the same fixpoint, and because fl(a + w) is
+    monotone in a for w >= 0 it equals Dijkstra's distances float for
+    float.  A row is complete when every relaxation cut off by the bound
+    reached a vertex reached anyway.
     """
     n = g.n
     for s in sources:
         if not (0 <= s < n):
             raise ValueError(f"invalid source {s}")
-    if d < 0:
+    per_source = np.ndim(d) > 0
+    if (np.asarray(d) < 0).any():
         raise ValueError("bound must be >= 0")
     indptr, heads, wts = g.csr(reverse=direction != FORWARD)
     degree = np.diff(indptr)
     for lo in range(0, len(sources), CHUNK):
         block = list(sources[lo:lo + CHUNK])
+        bound = np.asarray(d, float)[lo:lo + CHUNK] if per_source else d
         dist = np.full((len(block), n), np.inf)
         flat = dist.reshape(-1)
         # the frontier: flat indices row * n + vertex, ascending
@@ -168,7 +173,8 @@ def batched_search(g: Graph, sources: Sequence[int], d: float,
             edge += np.arange(total)
             cand = np.repeat(flat[front], count) + wts[edge]
             key = np.repeat(front - cols, count) + heads[edge]
-            inside = cand <= d
+            inside = cand <= (np.repeat(bound[front // n], count)
+                              if per_source else d)
             cut.append(key[~inside])
             better = inside & (cand < flat[key])
             key = key[better]
@@ -185,7 +191,8 @@ def batched_search(g: Graph, sources: Sequence[int], d: float,
                 state = dict(zip(reached.tolist(), row[reached].tolist()))
                 pending = (front[rows == i] - i * n).tolist()
                 heap = sorted(zip(row[pending].tolist(), pending))
-                missed = _settle(adj, state, heap, d)
+                missed = _settle(adj, state, heap,
+                                 float(bound[i]) if per_source else d)
                 row[list(state)] = list(state.values())
                 cut.append(i * n + np.array(missed, dtype=np.int64))
         complete = np.ones(len(block), dtype=bool)
@@ -237,21 +244,28 @@ class SearchMemo:
         keep = x <= d
         return SearchResult(source, d, direction, rows=(v[keep], x[keep]))
 
-    def search_all(self, sources: Sequence[int], d: float,
+    def search_all(self, sources: Sequence[int], d: Bounds,
                    direction: str = FORWARD) -> List[SearchResult]:
-        """``search`` from each of ``sources``; the misses are searched
-        together by one ``batched_search``."""
-        misses = [s for s in sources if not self._answers(s, d, direction)]
-        chunks = batched_search(self.graph, misses, d, direction) \
+        """``search`` from each of ``sources`` at its bound in ``d``; the
+        misses go to one ``batched_search``, each at its largest bound."""
+        bounds = list(d) if np.ndim(d) else [d] * len(sources)
+        misses: Dict[int, float] = {}
+        for s, b in zip(sources, bounds):
+            if not self._answers(s, b, direction):
+                misses[s] = max(b, misses.get(s, b))
+        chunks = batched_search(
+            self.graph, list(misses),
+            list(misses.values()) if np.ndim(d) else d, direction) \
             if misses else ()
         for block, dist, complete in chunks:
             for s, row, done in zip(block, dist, complete.tolist()):
                 v = np.flatnonzero(row < np.inf)
                 x = row[v]
                 self._entries[(s, direction)] = (SearchResult(
-                    s, d, direction, complete=done, rows=(v, x)),
+                    s, misses[s], direction, complete=done, rows=(v, x)),
                     float(x.max()))
-        return [self.search(s, d, direction) for s in sources]
+        return [self.search(s, b, direction)
+                for s, b in zip(sources, bounds)]
 
 
 def _fringe_count(sorted_dmins, rho: int, base: float) -> int:
@@ -280,12 +294,9 @@ def select_radius_with_searches(
     candidates = range(math.ceil(lo), math.ceil(hi))
     max_rho = candidates[-1]
     bound = (max_rho + 1) * base_distance
-    if memo is None:
-        fwd = bounded_search(g, pivot, bound, FORWARD)
-        bwd = bounded_search(g, pivot, bound, BACKWARD)
-    else:
-        fwd = memo.search(pivot, bound, FORWARD)
-        bwd = memo.search(pivot, bound, BACKWARD)
+    memo = memo or SearchMemo(g)
+    fwd = memo.search(pivot, bound, FORWARD)
+    bwd = memo.search(pivot, bound, BACKWARD)
     dmin: Dict[int, float] = dict(fwd.reached)
     for v, dv in bwd.reached.items():
         if dv < dmin.get(v, math.inf):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dirhopset import rng as rngmod
+from dirhopset import search as searchmod
 from dirhopset.graph import EdgeSet, Graph, induce
 from dirhopset.hopset import (Instrumentation, RecursionFrame, ShortcutSink,
                               assign_levels, default_scale_range,
@@ -200,6 +201,35 @@ class TestDrivers:
         g = Graph(3, [(0, 1, 5e-324), (1, 2, 1.0)])
         with pytest.raises(ValueError, match="weight range overflows"):
             build(g)
+
+    @pytest.mark.parametrize("build", [
+        lambda g: hopset_weighted(g, practical(g.n), 1),
+        lambda g: phopset(g, practical(g.n), 0.1, 1, beta=6.0, sweeps=2)],
+        ids=["weighted", "parallel"])
+    def test_no_heap_search_on_a_root_graph(self, monkeypatch, build):
+        # every root-graph search is batched: only frames heap-search
+        calls = {"root": 0, "frame": 0}
+        bounded_search = searchmod.bounded_search
+
+        def counting(g, source, d, direction="forward"):
+            calls["root" if isinstance(g, Graph) else "frame"] += 1
+            return bounded_search(g, source, d, direction)
+
+        monkeypatch.setattr(searchmod, "bounded_search", counting)
+        rng = random.Random(17)
+        h = build(Graph(80, random_edges(80, 240, 8, rng)))
+        assert len(h) > 0
+        assert calls["root"] == 0 and calls["frame"] > 0
+
+    def test_driver_pass_emits_at_c20(self):
+        # at c=20 every frame stops at once, so each shortcut comes from
+        # the driver loop's pass, which the root frame no longer subsumes
+        g = Graph(12, [(i, i + 1, 1.0) for i in range(11)])
+        instr = Instrumentation()
+        h = hopset_weighted(g, practical(12, c=20, L=4), 0, instr=instr)
+        assert instr.per_level == {}
+        assert h.entries == {(i, j): float(j - i) for i in range(12)
+                             for j in range(i + 2, 12)}
 
     def test_scale_range_defaults(self):
         assert default_scale_range(1024, weighted=False) == (5, 10)

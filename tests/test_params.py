@@ -111,3 +111,8 @@ class TestParallelParams:
     def test_rejects_zero_eps(self):
         with pytest.raises(ValueError):
             derive_parallel_params(1024, 0.0)
+
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, -0.5])
+    def test_rejects_non_finite_eps(self, epsilon):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            derive_parallel_params(1024, epsilon)

@@ -202,15 +202,29 @@ def same_result(got, want):
 
 
 def rows_equal_bounded_search(g, sources, d, direction):
+    """Each row of ``batched_search`` equals ``bounded_search`` at that
+    row's bound: ``d``, or d[i] for sources[i] when ``d`` is a list."""
+    bounds = d if isinstance(d, list) else [d] * len(sources)
     done = []
     for block, dist, complete in batched_search(g, sources, d, direction):
         assert dist.shape == (len(block), g.n)
         for s, row, flag in zip(block, dist.tolist(), complete):
+            b = bounds[len(done)]
             got = {v: x for v, x in enumerate(row) if x != math.inf}
-            same_result(SearchResult(s, d, direction, got, bool(flag)),
-                        bounded_search(g, s, d, direction))
+            same_result(SearchResult(s, b, direction, got, bool(flag)),
+                        bounded_search(g, s, b, direction))
             done.append(s)
     assert done == list(sources)
+
+
+def thin_tail_graph():
+    """A 200-vertex path with a few chords out of its first 40 vertices:
+    rows that run down it relax few edges per round."""
+    rng = random.Random(3)
+    edges = [(i, i + 1, rng.choice([0.5, 1.0, 2.0])) for i in range(199)]
+    edges += [(rng.randrange(40), rng.randrange(200), 3.0)
+              for _ in range(30)]
+    return Graph(200, edges)
 
 
 class TestBatchedSearch:
@@ -227,16 +241,45 @@ class TestBatchedSearch:
             g, sources, data.draw(radii),
             data.draw(st.sampled_from([FORWARD, BACKWARD])))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rows_equal_bounded_search_at_per_source_bounds(self, data):
+        g = graphs(data.draw, max_n=10, max_m=30)
+        # sources and bounds repeat with different periods, so a
+        # repeated source is searched at different bounds
+        base = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1,
+                                  max_size=6))
+        radius = data.draw(st.lists(radii, min_size=1, max_size=7))
+        count = data.draw(st.integers(1, 2 * CHUNK + 5))
+        rows_equal_bounded_search(
+            g, (base * count)[:count], (radius * count)[:count],
+            data.draw(st.sampled_from([FORWARD, BACKWARD])))
+
     @pytest.mark.parametrize("d", [0.0, 5.5, 60.0, math.inf])
     @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
     def test_thin_tails_finished_by_dijkstra(self, d, direction):
-        # rows that run down a long path relax few edges per round
-        rng = random.Random(3)
-        edges = [(i, i + 1, rng.choice([0.5, 1.0, 2.0])) for i in range(199)]
-        edges += [(rng.randrange(40), rng.randrange(200), 3.0)
-                  for _ in range(30)]
-        rows_equal_bounded_search(Graph(200, edges), range(0, 200, 3), d,
+        rows_equal_bounded_search(thin_tail_graph(), range(0, 200, 3), d,
                                   direction)
+
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    def test_thin_tails_finished_at_the_rows_bounds(self, monkeypatch,
+                                                    direction):
+        finished = []
+        settle = searchmod._settle
+
+        def counting(adj, dist, heap, d):
+            finished.append(d)
+            return settle(adj, dist, heap, d)
+
+        monkeypatch.setattr(searchmod, "_settle", counting)
+        sources = list(range(0, 200, 3))
+        bounds = [[0.0, 5.5, 60.0, math.inf][i % 4]
+                  for i in range(len(sources))]
+        rows_equal_bounded_search(thin_tail_graph(), sources, bounds,
+                                  direction)
+        # the Dijkstra finish ran, on the rows that reach far
+        assert {60.0, math.inf} & set(finished)
+        assert set(finished) <= {0.0, 5.5, 60.0, math.inf}
 
     def test_chunks(self):
         g = path_graph(5)
@@ -250,16 +293,23 @@ class TestBatchedSearch:
             list(batched_search(path_graph(3), [0, 3], 1.0))
         with pytest.raises(ValueError):
             list(batched_search(path_graph(3), [0], -1.0))
+        with pytest.raises(ValueError):
+            list(batched_search(path_graph(3), [0, 1], [1.0, -1.0]))
 
 
 @st.composite
 def memo_cases(draw):
     g = graphs(draw)
-    # one source: SearchMemo.search; several: SearchMemo.search_all
-    requests = draw(st.lists(st.tuples(
-        st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4),
-        st.sampled_from([FORWARD, BACKWARD]), radii),
-        min_size=1, max_size=12))
+    # one source at one radius: SearchMemo.search; otherwise
+    # SearchMemo.search_all, at one radius or at one per source
+    requests = []
+    for _ in range(draw(st.integers(1, 12))):
+        sources = draw(st.lists(st.integers(0, g.n - 1), min_size=1,
+                                max_size=4))
+        d = draw(st.one_of(radii, st.lists(radii, min_size=len(sources),
+                                           max_size=len(sources))))
+        requests.append((sources, draw(st.sampled_from([FORWARD,
+                                                        BACKWARD])), d))
     return g, requests
 
 
@@ -270,17 +320,18 @@ class TestSearchMemo:
         g, requests = case
         memo = SearchMemo(g)
         for sources, direction, d in requests:
-            if len(sources) == 1:
+            bounds = d if isinstance(d, list) else [d] * len(sources)
+            if len(sources) == 1 and not isinstance(d, list):
                 answers = [memo.search(sources[0], d, direction)]
             else:
                 answers = memo.search_all(sources, d, direction)
             assert len(answers) == len(sources)
-            for s, got in zip(sources, answers):
-                fresh = bounded_search(g, s, d, direction)
+            for s, b, got in zip(sources, bounds, answers):
+                fresh = bounded_search(g, s, b, direction)
                 full = bounded_search(g, s, math.inf, direction).reached
                 same_result(got, fresh)
                 assert (got.source, got.bound, got.direction) == \
-                    (s, d, direction)
+                    (s, b, direction)
                 assert got.complete == (got.reached == full)
                 assert fresh.complete == (fresh.reached == full)
 
@@ -359,3 +410,31 @@ class TestSearchMemo:
         assert batches == [[2, 3]]  # answered by the batch-filled entries
         memo.search_all([2, 3], 3.0)  # 3's search was complete
         assert batches == [[2, 3], [2]]
+
+    def test_search_all_per_source_batches_only_misses(self, monkeypatch):
+        batches = []
+
+        def counting(g, sources, d, direction=FORWARD):
+            batches.append((list(sources), list(d)))
+            return batched_search(g, sources, d, direction)
+
+        monkeypatch.setattr(searchmod, "batched_search", counting)
+        g = path_graph(6)
+        memo = SearchMemo(g)
+        memo.search(0, math.inf)  # complete
+        memo.search(1, 2.0)  # cut off at 3
+        got = memo.search_all([0, 1, 2, 1, 2, 3],
+                              [9.0, 1.5, 1.0, 4.5, 2.0, 0.0])
+        # 0 and 1 at 1.5 are answered by the memo; each miss is searched
+        # once, at its largest bound
+        assert batches == [([2, 1, 3], [2.0, 4.5, 0.0])]
+        assert [r.bound for r in got] == [9.0, 1.5, 1.0, 4.5, 2.0, 0.0]
+        assert [r.reached for r in got] == [
+            {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0, 5: 5.0},
+            {1: 0.0, 2: 1.0}, {2: 0.0, 3: 1.0},
+            {1: 0.0, 2: 1.0, 3: 2.0, 4: 3.0, 5: 4.0},
+            {2: 0.0, 3: 1.0, 4: 2.0}, {3: 0.0}]
+        memo.search_all([2, 3, 1], [1.5, 0.0, 9.0])  # 1 is complete now
+        assert len(batches) == 1
+        memo.search_all([3, 2], [1.0, 0.5])
+        assert batches[1:] == [([3], [1.0])]
