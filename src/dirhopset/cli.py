@@ -9,7 +9,7 @@ from typing import List, Optional
 
 from .experiment import (ExperimentConfig, ExperimentError, run_experiment)
 from .generate import FAMILIES, generate
-from .graph import save_graph
+from .graph import save_graph, write_edges
 from .params import MODE_PAPER, MODE_PRACTICAL
 
 
@@ -112,9 +112,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.out:
         save_graph(g, args.out)
     else:
-        sys.stdout.write(f"{g.n} {g.m}\n")
-        for u, v, w in sorted(g.iter_edges()):
-            sys.stdout.write(f"{u} {v} {w!r}\n")
+        write_edges(sys.stdout, g.iter_edges(), (g.n, g.m))
     return 0
 
 

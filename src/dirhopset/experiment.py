@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import time
 import typing
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Tuple
 
 from .generate import generate
-from .graph import EdgeSet, Graph, GraphFormatError, load_graph
+from .graph import (EdgeSet, Graph, check_edges, load_graph, read_edges,
+                    write_edges)
 from .hopset import Instrumentation, hopset_unweighted, hopset_weighted
 from .parallel import check_rounding, phopset
 from .params import MODE_PRACTICAL, OVERRIDES, Params, derive_params
@@ -124,33 +124,17 @@ def _type_name(hint) -> str:
 
 def write_hopset(path: str, h: EdgeSet, sidecar: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v, w in h.sorted_edges():
-            fh.write(f"{u} {v} {w!r}\n")
+        write_edges(fh, sorted(h))
     with open(path + ".json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(sidecar, sort_keys=True, indent=2))
         fh.write("\n")
 
 
 def read_hopset(path: str) -> EdgeSet:
+    """The edges of a hopset file (see ``read_edges``); a pair listed
+    twice keeps its lighter weight, at its first position."""
     out = EdgeSet()
-    inf = math.inf
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise GraphFormatError(f"{path}:{lineno}: expected 'u v w'")
-            try:
-                u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: bad edge: {exc}") from exc
-            if not 0 <= w < inf:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: weight must be finite and >= 0: {w}")
-            out.add(u, v, w)
+    read_edges(path, out.add)
     return out
 
 
@@ -209,12 +193,9 @@ def run_experiment(cfg: ExperimentConfig
     elif cfg.hopset_path:
         try:
             h = read_hopset(cfg.hopset_path)
-        except (OSError, GraphFormatError) as exc:
+            check_edges(g.n, *h.arrays())  # ids in range for g
+        except (OSError, ValueError) as exc:  # also GraphFormatError
             raise ExperimentError(f"hopset: {exc}") from exc
-        for u, v in h.entries:
-            if not (0 <= u < g.n and 0 <= v < g.n):
-                raise ExperimentError(
-                    f"hopset: edge ({u},{v}) out of range for n={g.n}")
     else:
         raise ExperimentError("config: need an algorithm or a hopset file")
     build_seconds = time.perf_counter() - t0

@@ -1,18 +1,23 @@
-"""Directed weighted graph, induced subgraphs, and min-merge edge sets.
+"""Directed weighted graph, induced subgraphs, min-merge edge sets, and
+the one copy of each mechanism on edge lists.
 
 The graph is stored as (u, v, w) numpy arrays sorted by (u, v), and as
 forward and reverse adjacency lists over dense 0-based vertex ids.
-``Graph(n, edges)`` and ``Graph.from_arrays`` validate and min-merge
-with numpy and build each list on first use.  An induced subgraph keeps
-its parent's ids: its adjacency is dicts keyed by member, filtered from
-the parent's lists.  Weights stay in the input's units: the drivers
-normalise them.  Graphs are immutable after construction; EdgeSet is
-the single mutable accumulator used to collect hopset edges.
+``Graph(n, edges)`` and ``Graph.from_arrays`` validate (``check_edges``)
+and min-merge with numpy and build each list on first use.  An induced
+subgraph keeps its parent's ids: its adjacency is dicts keyed by member,
+filtered from the parent's lists.  Weights stay in the input's units:
+the drivers normalise them.  Graphs are immutable after construction;
+EdgeSet is the single mutable accumulator used to collect hopset edges.
+``to_csr`` groups edges for ``Graph.csr`` and the verifier's G + H;
+``Graph.lighter`` joins pairs against a graph's edges; ``read_edges``
+and ``write_edges`` are the graph and hopset file codec.
 """
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, TextIO, Tuple)
 
 import numpy as np
 
@@ -47,6 +52,39 @@ def merge_min_arrays(n: int, u: np.ndarray, v: np.ndarray,
     return u[order], v[order], w[order]
 
 
+def _ids(x) -> np.ndarray:
+    """``x`` as int64, or as objects if an id overflows (out of range)."""
+    try:
+        return np.array(x, dtype=np.int64)
+    except OverflowError:
+        return np.array(x, dtype=object)
+
+
+def check_edges(n: int, u: Sequence[int], v: Sequence[int],
+                w: Sequence[float]) -> EdgeArrays:
+    """The (u, v, w) columns as new arrays; ValueError for the first edge
+    with an endpoint outside [0, n) or a weight not finite and >= 0."""
+    u, v, w = _ids(u), _ids(v), np.array(w, dtype=np.float64)
+    bad = ((u < 0) | (u >= n) | (v < 0) | (v >= n)
+           | ~((w >= 0) & (w < math.inf)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        a, b = int(u[i]), int(v[i])
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+        raise ValueError(f"weight on edge ({a},{b}) must be finite "
+                         f"and >= 0: {float(w[i])}")
+    return u, v, w
+
+
+def to_csr(n: int, a: np.ndarray, b: np.ndarray,
+           w: np.ndarray) -> EdgeArrays:
+    """(indptr, b, w) stably regrouped by a in [0, n): the edges out of x
+    lead to b[indptr[x]:indptr[x + 1]].  Parallel edges stay."""
+    order = np.argsort(a, kind="stable")
+    return np.searchsorted(a[order], np.arange(n + 1)), b[order], w[order]
+
+
 def _adjacency(indptr: np.ndarray, b: np.ndarray,
                w: np.ndarray) -> List[List[Tuple[int, float]]]:
     """Per vertex x, the (b, w) pairs in [indptr[x], indptr[x + 1])."""
@@ -79,23 +117,9 @@ class Graph:
 
     def _merge(self, n: int, u: Sequence[int], v: Sequence[int],
                w: Sequence[float]) -> None:
-        """Validate and min-merge with numpy: ValueError for the first edge
-        out of range or with a weight not finite and >= 0."""
-        u = np.array(u, dtype=np.int64)
-        v = np.array(v, dtype=np.int64)
-        w = np.array(w, dtype=np.float64)
-        bad = ((u < 0) | (u >= n) | (v < 0) | (v >= n)
-               | ~((w >= 0) & (w < math.inf)))
-        if bad.any():
-            i = int(np.argmax(bad))
-            a, b = int(u[i]), int(v[i])
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
-            raise ValueError(f"weight on edge ({a},{b}) must be finite "
-                             f"and >= 0: {float(w[i])}")
         self.n = n
         self._fwd = self._rev = None
-        self._arrays = u, v, w = merge_min_arrays(n, u, v, w)
+        self._arrays = u, v, w = merge_min_arrays(n, *check_edges(n, u, v, w))
         self._csr = [None, None]
         pos = w[w > 0]
         self.max_weight = float(pos.max()) if len(pos) else 0.0
@@ -121,30 +145,33 @@ class Graph:
         return self._arrays
 
     def csr(self, reverse: bool = False) -> EdgeArrays:
-        """(indptr, heads, w): the edges out of x (into x if ``reverse``)
-        lead to heads[indptr[x]:indptr[x + 1]], by ascending head, with
-        the weights w[indptr[x]:indptr[x + 1]].
-
-        Made once per direction from ``edge_arrays()``; read-only.
-        """
+        """``to_csr`` of the edges by tail (by head if ``reverse``), heads
+        ascending in each group; made once per direction, read-only."""
         csr = self._csr[reverse]
         if csr is None:
             a, b, w = self.edge_arrays()
-            if reverse:
-                order = np.argsort(b, kind="stable")
-                a, b, w = b[order], a[order], w[order]
-            indptr = np.searchsorted(a, np.arange(self.n + 1))
-            csr = self._csr[reverse] = (indptr, b, w)
+            csr = self._csr[reverse] = to_csr(
+                self.n, *((b, a, w) if reverse else (a, b, w)))
         return csr
+
+    def lighter(self, u: np.ndarray, v: np.ndarray,
+                w: np.ndarray) -> np.ndarray:
+        """Mask of the pairs (u[i], v[i]) that have no edge in the graph
+        or whose w[i] is below that edge's weight."""
+        a, b, x = self.edge_arrays()
+        if not len(a):
+            return np.ones(len(w), dtype=bool)
+        ekey, key = a * self.n + b, u * self.n + v
+        at = np.searchsorted(ekey, key).clip(max=len(ekey) - 1)
+        return (ekey[at] != key) | (w < x[at])
 
     @property
     def m(self) -> int:
         return len(self.edge_arrays()[0])
 
     def iter_edges(self) -> Iterator[Edge]:
-        for u, nbrs in enumerate(self.fwd):
-            for v, w in nbrs:
-                yield (u, v, w)
+        u, v, w = self.edge_arrays()
+        return zip(u.tolist(), v.tolist(), w.tolist())
 
     def edge_weight(self, u: int, v: int) -> Optional[float]:
         """The weight of edge (u, v), or None if there is none."""
@@ -181,12 +208,9 @@ class EdgeSet:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, EdgeSet) and self.entries == other.entries
 
-    def sorted_edges(self) -> List[Edge]:
-        return [(u, v, w) for (u, v), w in sorted(self.entries.items())]
-
     def arrays(self) -> EdgeArrays:
         """(u, v, w) numpy arrays of the entries, in iteration order."""
-        uv = np.array(list(self.entries), dtype=np.int64).reshape(-1, 2)
+        uv = _ids(list(self.entries)).reshape(-1, 2)
         w = np.fromiter(self.entries.values(), dtype=np.float64,
                         count=len(self.entries))
         return uv[:, 0], uv[:, 1], w
@@ -251,38 +275,41 @@ def induce(g: Graph, subset: Iterable[int]) -> InducedSubgraph:
     return InducedSubgraph(g, subset)
 
 
-def load_graph(path: str) -> Graph:
-    """Parse an edge-list file.
+def read_edges(path: str, add: Callable[[int, int, float], object],
+               header: bool = False) -> Tuple[Optional[int], Optional[int]]:
+    """Parse an edge-list file, calling add(u, v, w) per edge in file
+    order; returns (n, m) from a graph file's header, else (None, None).
 
-    Format: first non-comment line "n m", then m lines "u v [w]" with w
-    defaulting to 1.  Lines starting with '#' are comments.  Weights are
-    kept in the file's units.  n must fit in 64 bits, and each id in
-    [0, n).
+    Blank lines and lines starting with '#' are skipped.  A graph file
+    (``header``) starts with "n m", n fitting in 64 bits; each further
+    line is "u v [w]", w defaulting to 1 and each id in [0, n).  Each
+    line of a hopset file is "u v w".  w must be finite and >= 0.
+    GraphFormatError names the line that breaks these rules, or the
+    graph file without a header.
     """
-    header: Optional[Tuple[int, int]] = None
-    edges: List[Edge] = []
+    n = m = None
+    usage = "expected 'u v [w]'" if header else "expected 'u v w'"
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if header is None:
+            if header and n is None:
                 if len(parts) != 2:
                     raise GraphFormatError(
                         f"{path}:{lineno}: expected header 'n m'")
                 try:
-                    header = (int(parts[0]), int(parts[1]))
+                    n, m = int(parts[0]), int(parts[1])
                 except ValueError as exc:
                     raise GraphFormatError(
                         f"{path}:{lineno}: bad header: {exc}") from exc
-                if not -2 ** 63 <= header[0] < 2 ** 63:  # then ids fit too
+                if not -2 ** 63 <= n < 2 ** 63:  # then ids fit too
                     raise GraphFormatError(
                         f"{path}:{lineno}: n does not fit in 64 bits")
                 continue
-            if len(parts) not in (2, 3):
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected 'u v [w]'")
+            if len(parts) != 3 and not (header and len(parts) == 2):
+                raise GraphFormatError(f"{path}:{lineno}: {usage}")
             try:
                 u, v = int(parts[0]), int(parts[1])
                 w = float(parts[2]) if len(parts) == 3 else 1.0
@@ -292,14 +319,29 @@ def load_graph(path: str) -> Graph:
             if not 0 <= w < math.inf:
                 raise GraphFormatError(
                     f"{path}:{lineno}: weight must be finite and >= 0: {w}")
-            n = header[0]
-            if not (0 <= u < n and 0 <= v < n):
+            if header and not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(
                     f"{path}:{lineno}: vertex id out of range [0,{n})")
-            edges.append((u, v, w))
-    if header is None:
+            add(u, v, w)
+    if header and n is None:
         raise GraphFormatError(f"{path}: empty file")
-    n, m = header
+    return n, m
+
+
+def write_edges(fh: TextIO, edges: Iterable[Edge],
+                header: Optional[Tuple[int, int]] = None) -> None:
+    """Write the line "n m" of a graph file's ``header`` (n, m), then a
+    line "u v w" per edge, w by repr."""
+    if header:
+        fh.write(f"{header[0]} {header[1]}\n")
+    for u, v, w in edges:
+        fh.write(f"{u} {v} {w!r}\n")
+
+
+def load_graph(path: str) -> Graph:
+    """The graph in a graph file (see ``read_edges``), in its units."""
+    edges: List[Edge] = []
+    n, m = read_edges(path, lambda *edge: edges.append(edge), header=True)
     if len(edges) != m:
         raise GraphFormatError(
             f"{path}: header declares {m} edges, found {len(edges)}")
@@ -308,6 +350,4 @@ def load_graph(path: str) -> Graph:
 
 def save_graph(g: Graph, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{g.n} {g.m}\n")
-        for u, v, w in sorted(g.iter_edges()):
-            fh.write(f"{u} {v} {w!r}\n")
+        write_edges(fh, g.iter_edges(), (g.n, g.m))

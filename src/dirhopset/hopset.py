@@ -111,7 +111,9 @@ class ShortcutSink:
     full-frame shortcuts are already emitted (inf once a complete search
     was emitted).  Every shortcut is an exact root distance, so
     re-emitting a covered pair could not change the hopset and is
-    skipped.  ``full`` is the frame of the whole root graph.
+    skipped, and no heavier than the root edge it parallels, so it is
+    kept only if lighter (``Graph.lighter``).  ``full`` is the frame of
+    the whole root graph.
     """
 
     __slots__ = ("root", "full", "out", "chunks", "pending", "memo",
@@ -127,12 +129,12 @@ class ShortcutSink:
         self.covered: Dict[Tuple[int, str], float] = {}
 
     def arrays(self) -> EdgeArrays:
-        """The shortcuts so far, sorted by (u, v), each pair once at its
-        minimum weight.  ``pending`` is re-priced first, per direction:
-        one batched root search per source at the largest maxd recorded
-        for it, then an add for each pair that is not a self pair, within
-        its record's ``covered`` or equal to the root edge it parallels
-        (a sorted join against the root's CSR)."""
+        """The shortcuts so far that are lighter than the root edge they
+        parallel, sorted by (u, v), each pair once at its minimum weight.
+        ``pending`` is re-priced first, per direction: one batched root
+        search per source at the largest maxd recorded for it, then an
+        add for each such pair that is not a self pair or within its
+        record's ``covered``."""
         n = self.root.n
         for direction in (FORWARD, BACKWARD):
             recs = sorted(self.pending.pop(direction, []),
@@ -151,27 +153,25 @@ class ShortcutSink:
                 row[v] = x
                 d[cut[i]:cut[i + 1]] = row[vs[cut[i]:cut[i + 1]]]
                 row[v] = np.inf
-            indptr, heads, w = self.root.csr(reverse=direction != FORWARD)
-            ekey = np.repeat(np.arange(n) * n, np.diff(indptr)) + heads
-            key = us * n + vs
-            at = np.searchsorted(ekey, key).clip(max=len(ekey) - 1)
-            keep = ((us != vs) & (d > np.repeat([r[3] for r in recs], count))
-                    & ((ekey[at] != key) | (w[at] != d)))
             u, v = (us, vs) if direction == FORWARD else (vs, us)
+            keep = ((us != vs) & (d > np.repeat([r[3] for r in recs], count))
+                    & self.root.lighter(u, v, d))
             for a, b, x in zip(u[keep].tolist(), v[keep].tolist(),
                                d[keep].tolist()):
                 self.out.add(a, b, x)
-        return merge_min_arrays(n, *concat_arrays(
-            self.out.arrays(), *self.chunks))
+        u, v, w = concat_arrays(self.out.arrays(), *self.chunks)
+        keep = self.root.lighter(u, v, w)
+        return merge_min_arrays(n, u[keep], v[keep], w[keep])
 
 
 def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
                     src: int, res: SearchResult, direction: str) -> None:
     """Emit a shortcutter's shortcuts at exact root distances, less self
-    pairs, pairs equal to the root edge they parallel and covered pairs.
-    A full frame's root search row becomes one array chunk; another
-    frame's reach set is recorded for ``arrays()`` to re-price, less the
-    vertices within the covered radius, whose root distance is too."""
+    pairs and covered pairs, for ``sink.arrays()`` to keep those lighter
+    than their root edge.  A full frame's root search row becomes one
+    array chunk; another frame's reach set is recorded for ``arrays()``
+    to re-price, less the vertices within the covered radius, whose root
+    distance is too."""
     key = (src, direction)
     covered = sink.covered.get(key, -math.inf)
     if not sub.is_full:
@@ -182,19 +182,12 @@ def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
         return
     sink.covered[key] = (math.inf if res.complete
                          else max(covered, res.bound))
-    row = np.full(sink.root.n, np.inf)
     vs, ds = res.rows()
-    row[vs] = ds
-    keep = (row > covered) & (row < np.inf)
-    keep[src] = False
-    indptr, heads, w = sink.root.csr(reverse=direction != FORWARD)
-    lo, hi = indptr[src], indptr[src + 1]
-    nbrs = heads[lo:hi]
-    keep[nbrs[row[nbrs] == w[lo:hi]]] = False  # equal root edges
-    vs = np.flatnonzero(keep)
+    keep = (ds > covered) & (vs != src)
+    vs, ds = vs[keep], ds[keep]
     us = np.full(len(vs), src, dtype=np.int64)
-    sink.chunks.append((us, vs, row[vs]) if direction == FORWARD
-                       else (vs, us, row[vs]))
+    sink.chunks.append((us, vs, ds) if direction == FORWARD
+                       else (vs, us, ds))
 
 
 def _run_shortcutters(sink: ShortcutSink, sub: InducedSubgraph,
@@ -247,7 +240,7 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
     fringe_sets: List[Set[int]] = []
 
     for p in pivots:
-        choice, fwd, bwd = select_radius_with_searches(
+        choice, fwd, bwd, dmin = select_radius_with_searches(
             memo.graph, p, d_r, params, sigma_rng(p), memo)
         rho = choice.rho
         radius = rho * d_r
@@ -258,10 +251,6 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
         for v in anc:
             labels[v].add((p, "A"))
         x_flag.update(des & anc)
-        dmin: Dict[int, float] = dict(fwd.reached)
-        for v, dv in bwd.reached.items():
-            if dv < dmin.get(v, math.inf):
-                dmin[v] = dv
         fringe = {v for v, d in dmin.items()
                   if (rho - 1) * d_r < d <= (rho + 1) * d_r}
         if fringe:

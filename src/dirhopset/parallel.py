@@ -46,9 +46,7 @@ class QuantizedGraph:
     @property
     def integer_weights(self) -> Dict[Tuple[int, int], int]:
         """Quantized weight of each kept edge, in units."""
-        u, v, q = self.graph.edge_arrays()
-        return {(a, b): int(x)
-                for a, b, x in zip(u.tolist(), v.tolist(), q.tolist())}
+        return {(a, b): int(x) for a, b, x in self.graph.iter_edges()}
 
 
 def quantize(g: Graph, i: int, scheme: RoundingScheme) -> QuantizedGraph:
@@ -152,10 +150,5 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
         hopset = merge_min_arrays(n, *concat_arrays(hopset, *found))
     u, v, w = hopset
     w = w / s  # in the input's units
-    # leave out the pairs no lighter than the edge of g they parallel
-    # (H has pairs only if g has edges)
-    gu, gv, gw = g.edge_arrays()
-    gkey, key = gu * n + gv, u * n + v
-    at = np.searchsorted(gkey, key).clip(max=len(gkey) - 1)
-    keep = (gkey[at] != key) | (w < gw[at])
+    keep = g.lighter(u, v, w)
     return EdgeSet.from_arrays(u[keep], v[keep], w[keep])

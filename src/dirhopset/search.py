@@ -278,11 +278,12 @@ def _fringe_count(sorted_dmins, rho: int, base: float) -> int:
 def select_radius_with_searches(
         g: Graph, pivot: int, base_distance: float, params: Params,
         rng: random.Random, memo: Optional[SearchMemo] = None
-) -> Tuple[RadiusChoice, SearchResult, SearchResult]:
+) -> Tuple[RadiusChoice, SearchResult, SearchResult, Dict[int, float]]:
     """Pick the fringe-minimizing integer scalar in a random subinterval.
 
     Returns the choice plus the forward/backward searches out to
-    (max candidate + 1) * base_distance so callers can reuse them for
+    (max candidate + 1) * base_distance and, per vertex either reaches,
+    the lesser of its two distances, so callers can reuse them for
     labels and fringe sets without re-searching.  Searches go through
     ``memo`` when one is given; it must be a memo of ``g``.
     """
@@ -309,11 +310,11 @@ def select_radius_with_searches(
         if size < best_size:
             best_rho, best_size = rho, size
     return (RadiusChoice(sigma=sigma, rho=best_rho, fringe_size=best_size),
-            fwd, bwd)
+            fwd, bwd, dmin)
 
 
 def select_radius(g: Graph, pivot: int, base_distance: float, params: Params,
                   rng: random.Random) -> RadiusChoice:
-    choice, _, _ = select_radius_with_searches(
+    choice, _, _, _ = select_radius_with_searches(
         g, pivot, base_distance, params, rng)
     return choice

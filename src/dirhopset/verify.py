@@ -1,7 +1,7 @@
 """Hopset consumption and verification.
 
-Hop-limited distances come from synchronous edge relaxation over
-numpy arrays of G (and H), built once per call: each round takes, for
+Hop-limited distances come from synchronous edge relaxation over the
+reverse CSR of G (and H), built once per call: each round takes, for
 every row of sources at once, the minimum over each vertex's incoming
 edges, so after round r a row holds exactly the "<= r hops" distances.
 Exact distances come from ``search.batched_search``, a chunk of sources
@@ -17,7 +17,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import EdgeSet, Graph
+from .graph import (EdgeArrays, EdgeSet, Graph, check_edges, concat_arrays,
+                    to_csr)
 from .search import batched_search
 
 INF = math.inf
@@ -31,66 +32,38 @@ class HopLimitedDistances:
     dist: List[float]
 
 
-class _EdgeArrays:
-    """Edges of G, then the hopset's (from ``_hopset_arrays``), stably
-    sorted by head.
+def _with_hopset(g: Graph, h: EdgeSet) -> Tuple[EdgeArrays, EdgeArrays]:
+    """``check_edges`` of h's arrays and the reverse CSR of g's then h's edges.
 
     Parallel edges are kept: a round keeps the lighter candidate, and
     fl(d + min(a, b)) = min(fl(d + a), fl(d + b)), so no min-merge is
     needed.
     """
-
-    __slots__ = ("n", "src", "w", "heads", "starts")
-
-    def __init__(self, g: Graph, h_uv: Optional[np.ndarray] = None,
-                 h_w: Optional[np.ndarray] = None):
-        src, dst, w = g.edge_arrays()
-        if h_uv is not None:
-            src = np.concatenate([src, h_uv[:, 0]])
-            dst = np.concatenate([dst, h_uv[:, 1]])
-            w = np.concatenate([w, h_w])
-        order = np.argsort(dst, kind="stable")
-        self.n = g.n
-        self.src = src[order]
-        self.w = w[order]
-        self.heads, self.starts = np.unique(dst[order], return_index=True)
+    hu, hv, hw = check_edges(g.n, *h.arrays())
+    a, b, w = concat_arrays(g.edge_arrays(), (hu, hv, hw))
+    return (hu, hv, hw), to_csr(g.n, b, a, w)
 
 
-def _hopset_arrays(n: int, h: EdgeSet) -> Tuple[np.ndarray, np.ndarray]:
-    """(k, 2) endpoints and k weights of ``h``; ValueError for an
-    endpoint outside [0, n) or a weight that is not finite and >= 0."""
-    u, v, w = h.arrays()
-    uv = np.column_stack((u, v))
-    bad = ((uv < 0) | (uv >= n)).any(axis=1)
-    if bad.any():
-        u, v = uv[np.argmax(bad)].tolist()
-        raise ValueError(f"hopset endpoint ({u},{v}) out of range")
-    bad = ~((w >= 0) & (w < INF))
-    if bad.any():
-        i = int(np.argmax(bad))
-        u, v = uv[i].tolist()
-        raise ValueError(f"weight on edge ({u},{v}) must be finite and "
-                         f">= 0: {w[i]}")
-    return uv, w
-
-
-def _relax_rounds(edges: _EdgeArrays, sources: Sequence[int],
+def _relax_rounds(rcsr: EdgeArrays, sources: Sequence[int],
                   beta: int) -> Iterator[Tuple[int, np.ndarray]]:
     """Distances from ``sources``, one row each, after rounds 0, 1, ...
+    of relaxing the edges of the reverse CSR arrays ``rcsr``.
 
     Yields (round, dist) after round 0 and after every round up to
     ``beta`` that changes some row; a round that changes none is a
     fixpoint and ends the iteration.  ``dist`` is updated in place, so
     read it before advancing.
     """
-    dist = np.full((len(sources), edges.n), np.inf)
+    indptr, tails, w = rcsr
+    heads = np.flatnonzero(np.diff(indptr))
+    starts = indptr[heads]
+    dist = np.full((len(sources), len(indptr) - 1), np.inf)
     dist[np.arange(len(sources)), sources] = 0.0
     yield 0, dist
-    heads = edges.heads
     for rnd in range(1, beta + 1):
-        cand = dist[:, edges.src]
-        cand += edges.w
-        best = np.minimum.reduceat(cand, edges.starts, axis=1)
+        cand = dist[:, tails]
+        cand += w
+        best = np.minimum.reduceat(cand, starts, axis=1)
         cur = dist[:, heads]
         if not (best < cur).any():
             return
@@ -98,10 +71,10 @@ def _relax_rounds(edges: _EdgeArrays, sources: Sequence[int],
         yield rnd, dist
 
 
-def _hop_limited(edges: _EdgeArrays, sources: Sequence[int],
+def _hop_limited(rcsr: EdgeArrays, sources: Sequence[int],
                  beta: int) -> np.ndarray:
     """Rows of "<= beta hops" distances from ``sources``."""
-    for _, dist in _relax_rounds(edges, sources, beta):
+    for _, dist in _relax_rounds(rcsr, sources, beta):
         pass
     return dist
 
@@ -113,7 +86,7 @@ def hop_limited_distances(g: Graph, source: int,
         raise ValueError("beta must be >= 0")
     if not (0 <= source < g.n):
         raise ValueError(f"invalid source {source}")
-    dist = _hop_limited(_EdgeArrays(g), [source], beta)
+    dist = _hop_limited(g.csr(reverse=True), [source], beta)
     return HopLimitedDistances(source, beta, dist[0].tolist())
 
 
@@ -204,15 +177,14 @@ def check_hopset(g: Graph, h: EdgeSet, beta: int, epsilon: float,
     outside [0, n) or a hopset weight that is not finite and >= 0.
     """
     check_claim(beta, epsilon, ratio_bound)
-    h_uv, h_w = _hopset_arrays(g.n, h)
-    edges = _EdgeArrays(g, h_uv, h_w)
+    (hu, hv, hw), rcsr = _with_hopset(g, h)
     report = VerificationReport(beta_used=beta, hopset_size=len(h))
     bound = ratio_bound if ratio_bound is not None else 1.0 + epsilon
     tol = 1e-9
 
     def classify(block: List[Tuple[int, List[float]]]) -> None:
         """Record the pairs (s, v) of a block of (s, Dijkstra row)."""
-        hop_rows = _hop_limited(edges, [s for s, _ in block], beta).tolist()
+        hop_rows = _hop_limited(rcsr, [s for s, _ in block], beta).tolist()
         for (s, true_d), hop_d in zip(block, hop_rows):
             for v, (td, hd) in enumerate(zip(true_d, hop_d)):
                 if td == INF:
@@ -249,8 +221,8 @@ def check_hopset(g: Graph, h: EdgeSet, beta: int, epsilon: float,
     # chunks.  Hopset edges are checked against the chunk's matrix, in
     # the order of their tails and then of h; sampled sources are
     # classified BLOCK at a time.
-    order = np.argsort(h_uv[:, 0], kind="stable")
-    tails = h_uv[order, 0]
+    order = np.argsort(hu, kind="stable")
+    tails = hu[order]
     sampled = set(sample_sources(g.n, pair_sample, seed))
     sources = sorted(sampled.union(tails.tolist()))
     edge_violations: List[dict] = []
@@ -258,12 +230,13 @@ def check_hopset(g: Graph, h: EdgeSet, beta: int, epsilon: float,
     for chunk, dist, _ in batched_search(g, sources, INF):
         lo, hi = np.searchsorted(tails, [chunk[0], chunk[-1] + 1])
         idx = order[lo:hi]
-        d = dist[np.searchsorted(chunk, h_uv[idx, 0]), h_uv[idx, 1]]
+        d = dist[np.searchsorted(chunk, hu[idx]), hv[idx]]
         unreachable = d == INF
         d_fin = np.where(unreachable, 0.0, d)
-        bad = unreachable | (h_w[idx] < d_fin - tol * d_fin)
-        for (u, v), w, dv in zip(h_uv[idx[bad]].tolist(),
-                                 h_w[idx[bad]].tolist(), d[bad].tolist()):
+        bad = unreachable | (hw[idx] < d_fin - tol * d_fin)
+        idx = idx[bad]
+        for u, v, w, dv in zip(hu[idx].tolist(), hv[idx].tolist(),
+                               hw[idx].tolist(), d[bad].tolist()):
             if dv == INF:
                 edge_violations.append(
                     {"edge": [u, v], "weight": w, "distance": None,
@@ -294,7 +267,7 @@ def measure_hopbound(g: Graph, h: EdgeSet, epsilon: float,
     unreachable in g are ignored; ValueError if some pair misses the
     bound even at the fixpoint.
     """
-    edges = _EdgeArrays(g, *_hopset_arrays(g.n, h))
+    rcsr = _with_hopset(g, h)[1]
     sources = sorted({u for u, _ in pairs})
     true_d = oracle_distances(g, sources)
     targets: Dict[int, List[int]] = {}
@@ -314,7 +287,7 @@ def measure_hopbound(g: Graph, h: EdgeSet, epsilon: float,
                     limits.append((1.0 + epsilon) * td + tol)
         pending = np.ones(len(rows), dtype=bool)
         limit = np.array(limits, dtype=np.float64)
-        for rnd, dist in _relax_rounds(edges, block, g.n):
+        for rnd, dist in _relax_rounds(rcsr, block, g.n):
             pending &= dist[rows, cols] > limit
             if not pending.any():
                 beta = max(beta, rnd)

@@ -28,6 +28,14 @@ class TestGen:
         cli.main(args + ["--out", b])
         assert open(a).read() == open(b).read()
 
+    def test_stdout_equals_out_file(self, tmp_path, capsys):
+        out = str(tmp_path / "g.txt")
+        args = ["gen", "--family", "random-gnm", "--n", "30", "--m", "90",
+                "--max-weight", "5", "--seed", "4"]
+        cli.main(args + ["--out", out])
+        cli.main(args)
+        assert capsys.readouterr().out == open(out).read()
+
 
 class TestBuildVerify:
     def test_build_path_exit_zero(self, tmp_path):
@@ -121,7 +129,7 @@ class TestBuildVerify:
                          "3", "--out", out]) == 0
         assert len(h) > 0
         assert open(out).read() == "".join(
-            f"{u} {v} {w!r}\n" for u, v, w in h.sorted_edges())
+            f"{u} {v} {w!r}\n" for u, v, w in sorted(h))
 
     def test_rerun_byte_identical(self, tmp_path):
         outs, reports = [], []
@@ -212,6 +220,13 @@ class TestRunExperiment:
         assert code == 0
         assert report.hopset_size == 1
 
+    def test_read_hopset_skips_comments_and_keeps_lighter(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("# hopset\n\n2 0 4.0\n0 1 3.0\n  \n# 2 0 0.5\n"
+                        "2 0 1.5\n0 1 3.5\n")
+        h = read_hopset(str(path))
+        assert list(h.entries.items()) == [((2, 0), 1.5), ((0, 1), 3.0)]
+
     def test_needs_algorithm_or_hopset(self):
         cfg = ExperimentConfig(family="path", n=4, algorithm=None)
         with pytest.raises(ExperimentError):
@@ -243,7 +258,8 @@ class TestMalformedInput:
                                    "--algorithm", "weighted"], "graph:")
 
     @pytest.mark.parametrize("line", ["0 7 3.0", "-1 2 3.0", "0 4 nan",
-                                      "0 4 -1", "0 4 x"])
+                                      "0 4 -1", "0 4 x", "0 4", "0 4 1.0 9",
+                                      f"{2 ** 70} 0 1.0"])
     def test_bad_hopset_line(self, tmp_path, capsys, line):
         graph, bad = str(tmp_path / "g.txt"), str(tmp_path / "h.txt")
         cli.main(["gen", "--family", "path", "--n", "5", "--out", graph])
@@ -251,6 +267,13 @@ class TestMalformedInput:
             fh.write(line + "\n")
         self.expect_error(capsys, ["verify", "--graph", graph,
                                    "--hopset", bad], "hopset:")
+
+    def test_non_utf8_hopset(self, tmp_path, capsys):
+        graph, bad = str(tmp_path / "g.txt"), tmp_path / "h.txt"
+        cli.main(["gen", "--family", "path", "--n", "5", "--out", graph])
+        bad.write_bytes(b"0 1 1.0\n\xff 2 3.0\n")
+        self.expect_error(capsys, ["verify", "--graph", graph,
+                                   "--hopset", str(bad)], "hopset:")
 
     @pytest.mark.parametrize("flags", [["--beta", "0"], ["--beta", "-3"],
                                        ["--delta", "-1"],

@@ -150,6 +150,8 @@ class TestFromArrays:
         same_graph(Graph.from_arrays(n, *columns(edges)), n, edges)
 
     @given(multigraphs(bad=True))
+    @example((3, [(2 ** 70, 0, 1.0)]))
+    @example((3, [(0, 1, 1.0), (1, -2 ** 70, math.nan)]))
     def test_raises_like_loop_constructor(self, case):
         n, edges = case
         errors = []
@@ -162,6 +164,32 @@ class TestFromArrays:
             except ValueError as exc:
                 errors.append(str(exc))
         assert errors[0] == errors[1] == errors[2]
+
+
+class TestLighter:
+    """Graph.lighter against a dict lookup of each pair's edge weight."""
+
+    @given(multigraphs(), st.data())
+    def test_equals_dict_lookup(self, case, data):
+        n, edges = case
+        weight = {}
+        for u, v, w in edges:
+            weight[(u, v)] = min(w, weight.get((u, v), math.inf))
+        vertex = st.integers(0, max(n - 1, 0))
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex, weights),
+                                   max_size=12)) if n else []
+        pairs += [(x, x, 0.5) for x in range(n)]  # self pairs
+        if weight:  # below, at and above an edge, each possibly twice
+            for (u, v), w in data.draw(st.lists(
+                    st.sampled_from(sorted(weight.items())), max_size=8)):
+                pairs.append((u, v, w + data.draw(
+                    st.sampled_from([-0.25, 0.0, 0.25]))))
+        u, v, w = columns(pairs)
+        got = Graph(n, edges).lighter(np.array(u, dtype=np.int64),
+                                      np.array(v, dtype=np.int64),
+                                      np.array(w, dtype=np.float64))
+        assert got.tolist() == [x < weight.get((a, b), math.inf)
+                                for a, b, x in pairs]
 
 
 def transpose(g):
@@ -302,8 +330,9 @@ class TestAugment:
         assert g.edge_weight(0, 1) == 5.0
 
     def test_out_of_range_endpoint(self):
-        with pytest.raises(ValueError):
-            augment(Graph(2, []), EdgeSet({(0, 9): 1.0}))
+        for u in (9, 2 ** 70, -2 ** 70):
+            with pytest.raises(ValueError, match="out of range"):
+                augment(Graph(2, []), EdgeSet({(0, u): 1.0}))
 
     def test_valid_hopset_preserves_distances(self):
         # any hopset whose weights dominate true distances cannot change

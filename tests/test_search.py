@@ -164,13 +164,16 @@ class TestSelectRadius:
         rng = random.Random(4)
         g = Graph(20, random_edges(20, 60, 2, rng))
         params = practical(20)
-        choice, fwd, bwd = select_radius_with_searches(
+        choice, fwd, bwd, dmin = select_radius_with_searches(
             g, 5, 1.0, params, random.Random(8))
         bound = fwd.bound
         assert bound == bwd.bound
         assert bound >= (choice.rho + 1) * 1.0
         assert fwd.reached == bounded_search(g, 5, bound, FORWARD).reached
         assert bwd.reached == bounded_search(g, 5, bound, BACKWARD).reached
+        assert dmin == {v: min(fwd.reached.get(v, math.inf),
+                               bwd.reached.get(v, math.inf))
+                        for v in {**fwd.reached, **bwd.reached}}
 
     def test_zero_base_rejected(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirhopset.graph import EdgeSet, Graph
-from dirhopset.verify import (VerificationReport, _EdgeArrays,
-                              _hop_limited, _hopset_arrays, check_hopset,
+from dirhopset.verify import (VerificationReport, _hop_limited,
+                              _with_hopset, check_hopset,
                               hop_limited_distances, measure_hopbound,
                               oracle_distances)
 
@@ -176,11 +176,14 @@ class TestCheckHopset:
 
     @pytest.mark.parametrize("entries", [
         {(0, 9): 1.0}, {(9, 0): 1.0}, {(-1, 2): 1.0}, {(1, -3): 1.0},
-        {(0, 2): math.nan}, {(0, 2): INF}, {(0, 1): INF}, {(0, 2): -1.0}])
+        {(0, 2): math.nan}, {(0, 2): INF}, {(0, 1): INF}, {(0, 2): -1.0},
+        {(2 ** 70, 0): 1.0}, {(0, -2 ** 70): 1.0}])
     def test_bad_hopset_rejected(self, entries):
         with pytest.raises(ValueError):
             check_hopset(path_graph(4), EdgeSet(entries), beta=3,
                          epsilon=0.0)
+        with pytest.raises(ValueError):
+            measure_hopbound(path_graph(4), EdgeSet(entries), 0.0, [(0, 3)])
 
     @pytest.mark.parametrize("kw, fragment", [
         ({"epsilon": math.nan}, "epsilon must be finite"),
@@ -258,8 +261,8 @@ class TestKernelProperties:
         sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
                                      max_size=9))
         aug = edges + list(h)
-        arrays = _EdgeArrays(Graph(n, edges), *_hopset_arrays(n, h))
-        rows = _hop_limited(arrays, sources, beta).tolist()
+        rcsr = _with_hopset(Graph(n, edges), h)[1]
+        rows = _hop_limited(rcsr, sources, beta).tolist()
         for s, row in zip(sources, rows):
             assert row == hop_dp(n, aug, s, beta)
 
