@@ -124,18 +124,16 @@ def _type_name(hint) -> str:
 
 def write_hopset(path: str, h: EdgeSet, sidecar: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        write_edges(fh, sorted(h))
+        write_edges(fh, h)
     with open(path + ".json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(sidecar, sort_keys=True, indent=2))
         fh.write("\n")
 
 
 def read_hopset(path: str) -> EdgeSet:
-    """The edges of a hopset file (see ``read_edges``); a pair listed
-    twice keeps its lighter weight, at its first position."""
-    out = EdgeSet()
-    read_edges(path, out.add)
-    return out
+    """The edges of a hopset file (see ``read_edges``), min-merged in
+    the read: a pair listed twice keeps its lighter weight."""
+    return EdgeSet.from_arrays(*read_edges(path)[2])
 
 
 def _build(cfg: ExperimentConfig, g: Graph, params: Params,

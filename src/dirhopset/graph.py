@@ -8,16 +8,16 @@ and min-merge with numpy and build each list on first use.  An induced
 subgraph keeps its parent's ids: its adjacency is dicts keyed by member,
 filtered from the parent's lists.  Weights stay in the input's units:
 the drivers normalise them.  Graphs are immutable after construction;
-EdgeSet is the single mutable accumulator used to collect hopset edges.
-``to_csr`` groups edges for ``Graph.csr`` and the verifier's G + H;
+EdgeSet, the same sorted arrays, is the single mutable accumulator of
+hopset edges.  ``merge_min_arrays`` is the one min-merge; ``to_csr``
+groups edges for ``Graph.csr`` and the verifier's G + H;
 ``Graph.lighter`` joins pairs against a graph's edges; ``read_edges``
 and ``write_edges`` are the graph and hopset file codec.
 """
 from __future__ import annotations
 
 import math
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, TextIO, Tuple)
+from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -34,37 +34,39 @@ def concat_arrays(*parts: EdgeArrays) -> EdgeArrays:
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
-def merge_min_arrays(n: int, u: np.ndarray, v: np.ndarray,
+def merge_min_arrays(u: np.ndarray, v: np.ndarray,
                      w: np.ndarray) -> EdgeArrays:
-    """The edges on ``n`` vertices sorted by (u, v), each pair once at
-    its minimum weight.
+    """The edges sorted by (u, v), each pair once at its minimum weight.
 
-    Of equally light parallel edges the first is kept, as in ``Graph``.
+    Of equally light parallel edges the first is kept, as in ``Graph``;
+    NaN only if all are.  Not sorting by w too halves the time.
     """
-    key = u * n + v
-    if (key[1:] > key[:-1]).all():
+    if ((u[1:] > u[:-1]) | (u[1:] == u[:-1]) & (v[1:] > v[:-1])).all():
         return u, v, w  # already sorted, no parallel edges
-    order = np.lexsort((w, key))  # stable
-    key = key[order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    order = order[first]
-    return u[order], v[order], w[order]
+    order = np.lexsort((v, u))  # stable
+    u, v, w = u[order], v[order], w[order]
+    head = np.flatnonzero(np.r_[True, (u[1:] != u[:-1]) | (v[1:] != v[:-1])])
+    low = np.repeat(np.fmin.reduceat(w, head), np.diff(head, append=len(w)))
+    at = np.where((w == low) | np.isnan(low), np.arange(len(w)), len(w))
+    keep = np.minimum.reduceat(at, head)  # the first row at its minimum
+    return u[keep], v[keep], w[keep]
 
 
-def _ids(x) -> np.ndarray:
-    """``x`` as int64, or as objects if an id overflows (out of range)."""
+def _columns(u: Sequence[int], v: Sequence[int],
+             w: Sequence[float]) -> EdgeArrays:
+    """The columns as new arrays; ids that overflow int64 as objects."""
     try:
-        return np.array(x, dtype=np.int64)
+        u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
     except OverflowError:
-        return np.array(x, dtype=object)
+        u, v = np.array(u, dtype=object), np.array(v, dtype=object)
+    return u, v, np.array(w, dtype=np.float64)
 
 
 def check_edges(n: int, u: Sequence[int], v: Sequence[int],
                 w: Sequence[float]) -> EdgeArrays:
     """The (u, v, w) columns as new arrays; ValueError for the first edge
     with an endpoint outside [0, n) or a weight not finite and >= 0."""
-    u, v, w = _ids(u), _ids(v), np.array(w, dtype=np.float64)
+    u, v, w = _columns(u, v, w)
     bad = ((u < 0) | (u >= n) | (v < 0) | (v >= n)
            | ~((w >= 0) & (w < math.inf)))
     if bad.any():
@@ -119,7 +121,7 @@ class Graph:
                w: Sequence[float]) -> None:
         self.n = n
         self._fwd = self._rev = None
-        self._arrays = u, v, w = merge_min_arrays(n, *check_edges(n, u, v, w))
+        self._arrays = u, v, w = merge_min_arrays(*check_edges(n, u, v, w))
         self._csr = [None, None]
         pos = w[w > 0]
         self.max_weight = float(pos.max()) if len(pos) else 0.0
@@ -179,49 +181,61 @@ class Graph:
 
 
 class EdgeSet:
-    """Weighted edge collection with min-weight-merge union semantics."""
+    """Weighted edges under min-merge: (u, v, w) arrays sorted by (u, v),
+    each pair once at its minimum weight (the first of equal weights).
+    ``add`` and ``extend`` buffer edges, in order, for the next read to
+    merge in; ids are checked only against a graph (``check_edges``)."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("_arrays", "_buffer")
 
-    def __init__(self, entries: Optional[Dict[Tuple[int, int], float]] = None):
-        self.entries: Dict[Tuple[int, int], float] = dict(entries or {})
+    def __init__(self, edges: Iterable[Edge] = ()):
+        self._arrays: EdgeArrays = merge_min_arrays(
+            *_columns(*(tuple(zip(*edges)) or ((), (), ()))))
+        self._buffer: List = []  # column chunks and lists of added edges
 
     @classmethod
-    def from_arrays(cls, u: np.ndarray, v: np.ndarray,
-                    w: np.ndarray) -> "EdgeSet":
-        """The edge set of distinct (u, v) pairs with weights w."""
-        return cls(dict(zip(zip(u.tolist(), v.tolist()), w.tolist())))
+    def from_arrays(cls, u: Sequence[int], v: Sequence[int],
+                    w: Sequence[float]) -> "EdgeSet":
+        """``EdgeSet(zip(u, v, w))``, from the edges' columns."""
+        out = cls()
+        out._arrays = merge_min_arrays(*_columns(u, v, w))
+        return out
 
     def add(self, u: int, v: int, w: float) -> None:
-        key = (u, v)
-        cur = self.entries.get(key)
-        if cur is None or w < cur:
-            self.entries[key] = w
+        buf = self._buffer
+        if not buf or type(buf[-1]) is not list:
+            buf.append([])
+        buf[-1].append((u, v, w))
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[Edge]:
-        for (u, v), w in self.entries.items():
-            yield (u, v, w)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, EdgeSet) and self.entries == other.entries
+    def extend(self, u: Sequence[int], v: Sequence[int],
+               w: Sequence[float]) -> None:
+        """Add the edges of the columns u, v and w."""
+        self._buffer.append(_columns(u, v, w))
 
     def arrays(self) -> EdgeArrays:
-        """(u, v, w) numpy arrays of the entries, in iteration order."""
-        uv = _ids(list(self.entries)).reshape(-1, 2)
-        w = np.fromiter(self.entries.values(), dtype=np.float64,
-                        count=len(self.entries))
-        return uv[:, 0], uv[:, 1], w
+        """The (u, v, w) arrays, sorted by (u, v); the set's own, so
+        callers must not write to them."""
+        if self._buffer:
+            parts, self._buffer = self._buffer, []
+            self._arrays = merge_min_arrays(*concat_arrays(self._arrays, *(
+                _columns(*zip(*p)) if type(p) is list else p for p in parts)))
+        return self._arrays
+
+    def __len__(self) -> int:
+        return len(self.arrays()[2])
+
+    def __iter__(self) -> Iterator[Edge]:
+        u, v, w = self.arrays()
+        return zip(u.tolist(), v.tolist(), w.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, EdgeSet) and all(
+            map(np.array_equal, self.arrays(), other.arrays()))
 
 
 def merge_min(a: EdgeSet, b: EdgeSet) -> EdgeSet:
     """Union of two edge sets keeping the minimum weight per ordered pair."""
-    out = EdgeSet(a.entries)
-    for (u, v), w in b.entries.items():
-        out.add(u, v, w)
-    return out
+    return EdgeSet.from_arrays(*concat_arrays(a.arrays(), b.arrays()))
 
 
 def augment(g: Graph, h: EdgeSet) -> Graph:
@@ -275,10 +289,10 @@ def induce(g: Graph, subset: Iterable[int]) -> InducedSubgraph:
     return InducedSubgraph(g, subset)
 
 
-def read_edges(path: str, add: Callable[[int, int, float], object],
-               header: bool = False) -> Tuple[Optional[int], Optional[int]]:
-    """Parse an edge-list file, calling add(u, v, w) per edge in file
-    order; returns (n, m) from a graph file's header, else (None, None).
+def read_edges(path: str, header: bool = False
+               ) -> Tuple[Optional[int], Optional[int], Tuple[list, ...]]:
+    """Parse an edge-list file: (n, m) from a graph file's header, else
+    (None, None), and the lists (u, v, w) of the edges in file order.
 
     Blank lines and lines starting with '#' are skipped.  A graph file
     (``header``) starts with "n m", n fitting in 64 bits; each further
@@ -288,6 +302,7 @@ def read_edges(path: str, add: Callable[[int, int, float], object],
     graph file without a header.
     """
     n = m = None
+    us, vs, ws = edges = [], [], []
     usage = "expected 'u v [w]'" if header else "expected 'u v w'"
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -322,10 +337,12 @@ def read_edges(path: str, add: Callable[[int, int, float], object],
             if header and not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(
                     f"{path}:{lineno}: vertex id out of range [0,{n})")
-            add(u, v, w)
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
     if header and n is None:
         raise GraphFormatError(f"{path}: empty file")
-    return n, m
+    return n, m, edges
 
 
 def write_edges(fh: TextIO, edges: Iterable[Edge],
@@ -340,12 +357,11 @@ def write_edges(fh: TextIO, edges: Iterable[Edge],
 
 def load_graph(path: str) -> Graph:
     """The graph in a graph file (see ``read_edges``), in its units."""
-    edges: List[Edge] = []
-    n, m = read_edges(path, lambda *edge: edges.append(edge), header=True)
-    if len(edges) != m:
+    n, m, (u, v, w) = read_edges(path, header=True)
+    if len(u) != m:
         raise GraphFormatError(
-            f"{path}: header declares {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+            f"{path}: header declares {m} edges, found {len(u)}")
+    return Graph.from_arrays(n, u, v, w)
 
 
 def save_graph(g: Graph, path: str) -> None:

@@ -11,11 +11,11 @@ the driver call's root graph and keeps the root's ids throughout.
 Every search on a driver call's root graph is batched, through the
 ``SearchMemo`` of one ``ShortcutSink`` that lives for the call; its
 results are shared, so read-only.  A frame searches from its
-shortcutters first, so that its pivots' searches are memo hits.  A full
-frame's shortcuts go to the sink as one (u, v, w) array chunk per
-shortcutter.  Other frames search within themselves and record what
-they reach; the sink re-prices all the records at once on the root
-graph.  A driver min-merges every shortcut once.
+shortcutters first, so that its pivots' searches are memo hits.  Every
+shortcut goes into the sink's ``EdgeSet``, which min-merges it once: a
+full frame's as one (u, v, w) array chunk per shortcutter.  Other frames
+search within themselves and record what they reach; the sink re-prices
+all the records at once on the root graph.
 """
 from __future__ import annotations
 
@@ -28,8 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import rng as rngmod
-from .graph import (EdgeArrays, EdgeSet, Graph, InducedSubgraph,
-                    concat_arrays, induce, merge_min_arrays)
+from .graph import EdgeArrays, EdgeSet, Graph, InducedSubgraph, induce
 from .params import Params
 from .search import (BACKWARD, FORWARD, SearchMemo, SearchResult,
                      select_radius_with_searches)
@@ -103,11 +102,11 @@ SigmaRng = Callable[[int], random.Random]
 class ShortcutSink:
     """The shortcut accumulator of one driver call on one root graph.
 
-    Full frames append (u, v, w) arrays to ``chunks``.  Other frames
-    append (source, reached vertices, maxd, covered) records to
-    ``pending[direction]``, which ``arrays()`` re-prices into the
-    ``EdgeSet`` ``out``.  Also holds the root graph's search memo and,
-    for each (source, direction), the radius up to which that source's
+    Full frames extend the ``EdgeSet`` ``out`` by (u, v, w) arrays.
+    Other frames append (source, reached vertices, maxd, covered)
+    records to ``pending[direction]``, which ``arrays()`` re-prices and
+    adds to ``out``.  Also holds the root graph's search memo and, for
+    each (source, direction), the radius up to which that source's
     full-frame shortcuts are already emitted (inf once a complete search
     was emitted).  Every shortcut is an exact root distance, so
     re-emitting a covered pair could not change the hopset and is
@@ -116,14 +115,12 @@ class ShortcutSink:
     the whole root graph.
     """
 
-    __slots__ = ("root", "full", "out", "chunks", "pending", "memo",
-                 "covered")
+    __slots__ = ("root", "full", "out", "pending", "memo", "covered")
 
     def __init__(self, root: Graph):
         self.root = root
         self.full = induce(root, range(root.n))
         self.out = EdgeSet()
-        self.chunks: List[EdgeArrays] = []
         self.pending: Dict[str, List[Tuple]] = {}
         self.memo = SearchMemo(root)
         self.covered: Dict[Tuple[int, str], float] = {}
@@ -133,8 +130,9 @@ class ShortcutSink:
         parallel, sorted by (u, v), each pair once at its minimum weight.
         ``pending`` is re-priced first, per direction: one batched root
         search per source at the largest maxd recorded for it, then an
-        add for each such pair that is not a self pair or within its
-        record's ``covered``."""
+        add for each lighter such pair that is not a self pair or within
+        its record's ``covered``.  All of ``out`` is masked after its
+        min-merge: its duplicates are equal root distances."""
         n = self.root.n
         for direction in (FORWARD, BACKWARD):
             recs = sorted(self.pending.pop(direction, []),
@@ -159,9 +157,9 @@ class ShortcutSink:
             for a, b, x in zip(u[keep].tolist(), v[keep].tolist(),
                                d[keep].tolist()):
                 self.out.add(a, b, x)
-        u, v, w = concat_arrays(self.out.arrays(), *self.chunks)
+        u, v, w = self.out.arrays()
         keep = self.root.lighter(u, v, w)
-        return merge_min_arrays(n, u[keep], v[keep], w[keep])
+        return u[keep], v[keep], w[keep]
 
 
 def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
@@ -186,8 +184,7 @@ def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
     keep = (ds > covered) & (vs != src)
     vs, ds = vs[keep], ds[keep]
     us = np.full(len(vs), src, dtype=np.int64)
-    sink.chunks.append((us, vs, ds) if direction == FORWARD
-                       else (vs, us, ds))
+    sink.out.extend(*((us, vs, ds) if direction == FORWARD else (vs, us, ds)))
 
 
 def _run_shortcutters(sink: ShortcutSink, sub: InducedSubgraph,

@@ -3,24 +3,23 @@
 Each distance scale quantizes the current working graph (original edges
 plus previously injected hopset edges) to integer multiples of a unit,
 runs bounded searches in quantized units, scales the returned edges back,
-and min-merges them into the hopset; the hopset is injected into the
-working graph between sweeps.  The working graph and the hopset are kept
-as (u, v, w) numpy arrays, quantized with one vectorised ceil and
-min-merged with one lexsort; the graphs the searches need are built
-from those arrays with ``Graph.from_arrays``.  Searches within a frame
-are mutually independent (read-only graph, keyed RNG), so a concurrent
-executor must produce bit-identical output to this serial order.
+and extends the hopset, one ``EdgeSet``, by them; the hopset is
+min-merged and injected into the working graph between sweeps.  The
+working graph is quantized with one vectorised ceil, and the graphs the
+searches need are built from (u, v, w) arrays with
+``Graph.from_arrays``.  Searches within a frame are mutually independent
+(read-only graph, keyed RNG), so a concurrent executor must produce
+bit-identical output to this serial order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .graph import (EdgeArrays, EdgeSet, Graph, concat_arrays,
-                    merge_min_arrays)
+from .graph import EdgeSet, Graph, concat_arrays
 from .hopset import (Instrumentation, ShortcutSink, normalize_weights,
                      _run_scale)
 from .params import MODE_PAPER, Params
@@ -39,14 +38,8 @@ class RoundingScheme:
 
 @dataclass
 class QuantizedGraph:
-    base: Graph
     unit: float
     graph: Graph                      # integer weights, dropped edges absent
-
-    @property
-    def integer_weights(self) -> Dict[Tuple[int, int], int]:
-        """Quantized weight of each kept edge, in units."""
-        return {(a, b): int(x) for a, b, x in self.graph.iter_edges()}
 
 
 def quantize(g: Graph, i: int, scheme: RoundingScheme) -> QuantizedGraph:
@@ -62,7 +55,7 @@ def quantize(g: Graph, i: int, scheme: RoundingScheme) -> QuantizedGraph:
     w = w[keep]
     q = np.where(w == 0, 1.0, np.ceil(w / unit))
     qg = Graph.from_arrays(g.n, u[keep], v[keep], q)
-    return QuantizedGraph(base=g, unit=unit, graph=qg)
+    return QuantizedGraph(unit=unit, graph=qg)
 
 
 def derive_parallel_params(n: int, epsilon: float, k: int = 2,
@@ -127,15 +120,14 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
         -2, math.ceil(math.log2(n * n * max(gs.max_weight, 1.0))))
 
     floor = gs.min_positive_weight
-    hopset: EdgeArrays = (np.empty(0, np.int64), np.empty(0, np.int64),
-                          np.empty(0, np.float64))
+    hopset = EdgeSet()
     shortcut_radius = 8.0 * (1.0 + delta) * beta / delta
     recurse_base = 4.0 * (1.0 + delta) * beta / (delta * (params.k ** params.c))
 
     for sweep in range(sweeps):
         # the working graph: g's edges min-merged with the hopset so far
-        cur = Graph.from_arrays(n, *concat_arrays(gs.edge_arrays(), hopset))
-        found = []
+        cur = Graph.from_arrays(n, *concat_arrays(gs.edge_arrays(),
+                                                  hopset.arrays()))
         for i in range(lo, hi + 1):
             scheme = RoundingScheme(scale_index=i, delta=delta, beta=beta)
             qg = quantize(cur, i, scheme)
@@ -146,9 +138,8 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
                        recurse_base, instr, prefix="p")
             u, v, wq = sink.arrays()
             w = wq * scheme.unit
-            found.append((u, v, np.where(w < floor, 0.0, w)))
-        hopset = merge_min_arrays(n, *concat_arrays(hopset, *found))
-    u, v, w = hopset
+            hopset.extend(u, v, np.where(w < floor, 0.0, w))
+    u, v, w = hopset.arrays()
     w = w / s  # in the input's units
     keep = g.lighter(u, v, w)
     return EdgeSet.from_arrays(u[keep], v[keep], w[keep])

@@ -218,32 +218,25 @@ def check_hopset(g: Graph, h: EdgeSet, beta: int, epsilon: float,
                          "ratio": ratio})
 
     # Exact rows for every hopset or sampled source, in ascending
-    # chunks.  Hopset edges are checked against the chunk's matrix, in
-    # the order of their tails and then of h; sampled sources are
-    # classified BLOCK at a time.
-    order = np.argsort(hu, kind="stable")
-    tails = hu[order]
+    # chunks: hopset edges are checked against them in (u, v) order,
+    # sampled sources classified BLOCK at a time.
     sampled = set(sample_sources(g.n, pair_sample, seed))
-    sources = sorted(sampled.union(tails.tolist()))
+    sources = sorted(sampled.union(hu.tolist()))
     edge_violations: List[dict] = []
     block: List[Tuple[int, List[float]]] = []
     for chunk, dist, _ in batched_search(g, sources, INF):
-        lo, hi = np.searchsorted(tails, [chunk[0], chunk[-1] + 1])
-        idx = order[lo:hi]
-        d = dist[np.searchsorted(chunk, hu[idx]), hv[idx]]
+        rows = slice(*np.searchsorted(hu, [chunk[0], chunk[-1] + 1]))
+        d = dist[np.searchsorted(chunk, hu[rows]), hv[rows]]
         unreachable = d == INF
         d_fin = np.where(unreachable, 0.0, d)
-        bad = unreachable | (hw[idx] < d_fin - tol * d_fin)
-        idx = idx[bad]
-        for u, v, w, dv in zip(hu[idx].tolist(), hv[idx].tolist(),
-                               hw[idx].tolist(), d[bad].tolist()):
+        bad = unreachable | (hw[rows] < d_fin - tol * d_fin)
+        for u, v, w, dv in zip(hu[rows][bad].tolist(), hv[rows][bad].tolist(),
+                               hw[rows][bad].tolist(), d[bad].tolist()):
+            edge_violations.append({"edge": [u, v], "weight": w,
+                                    "distance": dv})
             if dv == INF:
-                edge_violations.append(
-                    {"edge": [u, v], "weight": w, "distance": None,
-                     "reason": "edge between unreachable pair"})
-            else:
-                edge_violations.append(
-                    {"edge": [u, v], "weight": w, "distance": dv})
+                edge_violations[-1].update(
+                    distance=None, reason="edge between unreachable pair")
         for u, row in zip(chunk, dist):
             if u in sampled:
                 block.append((u, row.tolist()))
@@ -264,15 +257,20 @@ def measure_hopbound(g: Graph, h: EdgeSet, epsilon: float,
     One relaxation to the fixpoint per block of sources: beta is the
     largest, over the pairs, of the first round whose estimate is within
     the bound, since hop-limited distances never grow with beta.  Pairs
-    unreachable in g are ignored; ValueError if some pair misses the
-    bound even at the fixpoint.
+    unreachable in g are ignored.  ValueError for a pair outside
+    [0, n), an epsilon not finite and >= 0, a bad hopset (as in
+    ``check_hopset``) or a pair missing the bound at the fixpoint.
     """
-    rcsr = _with_hopset(g, h)[1]
-    sources = sorted({u for u, _ in pairs})
-    true_d = oracle_distances(g, sources)
+    if not 0 <= epsilon < INF:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     targets: Dict[int, List[int]] = {}
     for u, v in pairs:
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            raise ValueError(f"pair ({u},{v}) out of range for n={g.n}")
         targets.setdefault(u, []).append(v)
+    rcsr = _with_hopset(g, h)[1]
+    sources = sorted(targets)
+    true_d = oracle_distances(g, sources)
     tol = 1e-9
     beta = 1
     for lo in range(0, len(sources), BLOCK):

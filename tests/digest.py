@@ -1,0 +1,129 @@
+"""Output digests of the drivers, for comparing two trees of the package.
+
+For each (family, seed, driver, L) it builds a hopset through
+``run_experiment`` and prints one line: |H|, then SHA-256 prefixes of
+the hopset's (u, v, weight bits) in (u, v) order, of the hopset file,
+of ``r.json`` (the check's report with its per-level counters), of the
+hopset read back from the file, of ``measure_hopbound`` over sampled
+pairs and of the frame trace (``Instrumentation(record_frames=True)``).
+The two benchmark workloads' drivers run on three inputs each as well.
+
+Run it from a checkout; it imports the package from that checkout's
+``src``, so a copy in another checkout digests that tree:
+
+    python tests/digest.py > digests.txt
+
+Two trees have the same outputs if their digest files are equal.  Not
+collected by pytest.
+"""
+import hashlib
+import os
+import random
+import struct
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "src"))
+
+from dirhopset.experiment import (ExperimentConfig, read_hopset,
+                                  run_experiment)
+from dirhopset.generate import generate
+from dirhopset.graph import Graph, save_graph
+from dirhopset.hopset import Instrumentation, hopset_unweighted, \
+    hopset_weighted
+from dirhopset.parallel import phopset
+from dirhopset.params import derive_params
+from dirhopset.verify import measure_hopbound
+
+FAMILIES = ("random-gnm", "grid", "layered-dag", "path")
+SEEDS = (1, 2, 3)
+DRIVERS = ("unweighted", "weighted", "parallel")
+N = 48
+
+
+def sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def edge_digest(h) -> str:
+    """Hash of the (u, v, weight bits) triples in (u, v) order."""
+    return sha(b"".join(struct.pack("<qqd", u, v, w)
+                        for u, v, w in sorted(h)))
+
+
+def read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def build(g: Graph, driver: str, params, seed: int, instr, **kw):
+    if driver == "parallel":
+        return phopset(g, params, kw.get("delta", 0.2), seed,
+                       beta=kw.get("beta", 4.0), sweeps=kw.get("sweeps", 2),
+                       scale_range=kw.get("scale_range"), instr=instr)
+    run = hopset_weighted if driver == "weighted" else hopset_unweighted
+    return run(g, params, seed, instr=instr)
+
+
+def digest(tmp: str, g: Graph, driver: str, seed: int, epsilon: float,
+           overrides: dict, **kw) -> str:
+    """The digest line of one build of ``g``."""
+    graph = os.path.join(tmp, "g.txt")
+    out, report = os.path.join(tmp, "h.txt"), os.path.join(tmp, "r.json")
+    save_graph(g, graph)
+    cfg = ExperimentConfig(
+        graph_path=graph, seed=seed, epsilon=epsilon, mode="practical",
+        lam=1, overrides=overrides, algorithm=driver,
+        delta=kw.get("delta", 0.2), beta=kw.get("beta", 4.0),
+        sweeps=kw.get("sweeps", 2), scale_range=kw.get("scale_range"),
+        verify="sampled:8", ratio_bound=kw.get("ratio_bound", 4.0),
+        out=out, report_path=report)
+    run_experiment(cfg)
+    params = derive_params(g.n, epsilon, 2, 1, "practical", **overrides)
+    instr = Instrumentation(record_frames=True)
+    h = build(g, driver, params, seed, instr, **kw)
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(g.n), rng.randrange(g.n)) for _ in range(20)]
+    try:
+        beta = measure_hopbound(g, h, epsilon, pairs)
+    except ValueError as exc:
+        beta = f"ValueError: {exc}"
+    return " ".join([
+        str(len(h)), edge_digest(h), sha(read(out)), sha(read(report)),
+        edge_digest(read_hopset(out)), sha(repr(beta)),
+        sha(repr(instr.frames) + repr(instr.per_level))])
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for family in FAMILIES:
+            for seed in SEEDS:
+                for driver in DRIVERS:
+                    g = generate(family, N, 2 * N if family in (
+                        "random-gnm", "layered-dag") else None,
+                        1 if driver == "unweighted" else 8, seed)
+                    if driver != "unweighted":  # exercise the normalising
+                        u, v, w = g.edge_arrays()
+                        g = Graph.from_arrays(g.n, u, v, w * 0.25)
+                    for L in (1, 2):
+                        line = digest(tmp, g, driver, seed,
+                                      0.5 if driver == "parallel" else 0.0,
+                                      {"L": L})
+                        print(family, seed, driver, L, line, flush=True)
+        for seed in SEEDS:  # the benchmark's workloads, n as run there
+            g = generate("random-gnm", 192, 3 * 192, 8, 11000 + seed)
+            print("exact-gnm", seed, digest(tmp, g, "weighted", seed, 0.0,
+                                            {}), flush=True)
+            g = generate("layered-dag", 288, 2 * 288, 4, 11000 + seed)
+            print("phopset-layered", seed, digest(
+                tmp, g, "parallel", seed, 0.5, {"L": 1}, delta=0.05,
+                beta=16.0, sweeps=5, scale_range=(5, 6), ratio_bound=2.0),
+                flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -163,6 +163,17 @@ def all_pairs_fast(n, edges):
     return sp_dijkstra(mat, directed=True)
 
 
+def edge_dict(edges):
+    """{(u, v): w} of the triples ``edges``, such as an edge set's or
+    ``Graph.iter_edges()``; a later triple of a pair wins."""
+    return {(u, v): w for u, v, w in edges}
+
+
+def quantized_weights(qg):
+    """{(u, v): units} of a quantized graph's kept edges, as ints."""
+    return {(u, v): int(q) for u, v, q in qg.graph.iter_edges()}
+
+
 def random_edges(n, m, max_w, rng: random.Random):
     """m distinct directed edges with integer weights in [1, max_w]."""
     seen = set()

@@ -21,7 +21,8 @@ from dirhopset.experiment import ExperimentConfig, run_experiment
 from dirhopset.search import select_radius
 from dirhopset.verify import hop_limited_distances, measure_hopbound
 
-from oracles import all_pairs_fast, dijkstra, hop_limited_matrix
+from oracles import (all_pairs_fast, dijkstra, hop_limited_matrix,
+                     quantized_weights)
 from trace_checks import verify_frames
 
 INF = math.inf
@@ -91,13 +92,13 @@ def test_criterion_1_validity(corpus):
     for item in corpus:
         g = item["g"]
         dist = all_pairs_fast(g.n, list(g.iter_edges()))
-        for (u, v), w in item["h"].entries.items():
+        for u, v, w in item["h"]:
             checked += 1
             d = dist[u][v]
             if not (w == d or abs(w - d) <= 1e-9 * max(1.0, abs(d))):
                 bad.append((item["i"], u, v, w, d))
         if item["parallel"] is not None:
-            for (u, v), w in item["parallel"].entries.items():
+            for u, v, w in item["parallel"]:
                 checked += 1
                 d = dist[u][v]
                 if d == INF or w < d - 1e-9 * max(1.0, d):
@@ -227,13 +228,13 @@ def test_criterion_6_rounding_bounds():
             w = rng.uniform(1e-6, 2.0 ** (i + 1) * 0.999)
         qg = quantize(Graph(2, [(0, 1, w)]), i, scheme)
         if w >= 2.0 ** (i + 1):
-            if (0, 1) in qg.integer_weights:
+            if (0, 1) in quantized_weights(qg):
                 bad.append(("kept heavy", i, w))
         elif w == 0.0:
-            if qg.integer_weights.get((0, 1)) != 1:
+            if quantized_weights(qg).get((0, 1)) != 1:
                 bad.append(("zero rule", i, w))
         else:
-            back = qg.integer_weights[(0, 1)] * scheme.unit
+            back = quantized_weights(qg)[(0, 1)] * scheme.unit
             if not (w - 1e-12 <= back < w + scheme.unit * (1 + 1e-9)):
                 bad.append(("ceiling", i, w, back))
     # path-level bound: quantized weight <= (1+delta)*true + zero slack
@@ -252,7 +253,7 @@ def test_criterion_6_rounding_bounds():
         rng.shuffle(weights)
         edges = [(j, j + 1, w) for j, w in enumerate(weights)]
         qg = quantize(Graph(hops + 1, edges), i, scheme)
-        qw = sum(qg.integer_weights.values()) * scheme.unit
+        qw = sum(quantized_weights(qg).values()) * scheme.unit
         limit = (1 + delta) * total + zeros * scheme.unit + 1e-9
         if not (total - 1e-9 <= qw <= limit):
             bad.append(("path bound", trial, total, qw, limit))

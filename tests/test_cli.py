@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirhopset import cli
 from dirhopset.experiment import (ExperimentConfig, ExperimentError,
@@ -51,7 +54,7 @@ class TestBuildVerify:
         assert rep["max_ratio"] == 1.0
         sidecar = json.loads(open(out + ".json").read())
         assert sidecar["n"] == 32
-        assert sidecar["edge_count"] == len(read_hopset(out).entries)
+        assert sidecar["edge_count"] == len(read_hopset(out))
 
     def test_verify_roundtrip(self, tmp_path):
         graph = str(tmp_path / "g.txt")
@@ -129,7 +132,7 @@ class TestBuildVerify:
                          "3", "--out", out]) == 0
         assert len(h) > 0
         assert open(out).read() == "".join(
-            f"{u} {v} {w!r}\n" for u, v, w in sorted(h))
+            f"{u} {v} {w!r}\n" for u, v, w in h)
 
     def test_rerun_byte_identical(self, tmp_path):
         outs, reports = [], []
@@ -213,7 +216,7 @@ class TestRunExperiment:
 
     def test_verify_only_mode(self, tmp_path):
         out = str(tmp_path / "h.txt")
-        write_hopset(out, EdgeSet({(0, 2): 2.0}), {"n": 3})
+        write_hopset(out, EdgeSet([(0, 2, 2.0)]), {"n": 3})
         cfg = ExperimentConfig(family="path", n=3, epsilon=0.0,
                                algorithm=None, hopset_path=out)
         report, code = run_experiment(cfg)
@@ -225,7 +228,7 @@ class TestRunExperiment:
         path.write_text("# hopset\n\n2 0 4.0\n0 1 3.0\n  \n# 2 0 0.5\n"
                         "2 0 1.5\n0 1 3.5\n")
         h = read_hopset(str(path))
-        assert list(h.entries.items()) == [((2, 0), 1.5), ((0, 1), 3.0)]
+        assert list(h) == [(0, 1, 3.0), (2, 0, 1.5)]
 
     def test_needs_algorithm_or_hopset(self):
         cfg = ExperimentConfig(family="path", n=4, algorithm=None)
@@ -396,7 +399,88 @@ class TestMalformedInput:
     def test_bad_pair_sample(self, tmp_path, capsys, spec):
         graph, out = str(tmp_path / "g.txt"), str(tmp_path / "h.txt")
         cli.main(["gen", "--family", "path", "--n", "5", "--out", graph])
-        write_hopset(out, EdgeSet({(0, 2): 2.0}), {"n": 5})
+        write_hopset(out, EdgeSet([(0, 2, 2.0)]), {"n": 5})
         self.expect_error(capsys, ["verify", "--graph", graph,
                                    "--hopset", out, "--verify", spec],
                           "verify:")
+
+
+@pytest.fixture(scope="module")
+def path5(tmp_path_factory):
+    """The graph file of the path 0 -> 1 -> 2 -> 3 -> 4."""
+    graph = tmp_path_factory.mktemp("fuzz") / "g.txt"
+    graph.write_text("5 4\n0 1 1.0\n1 2 1.0\n2 3 1.0\n3 4 1.0\n")
+    return graph
+
+
+def run_cli(argv):
+    """(exit code, stderr) of ``cli.main(argv)``, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+# a line that verifies on path5: u <= v, at no less than the distance
+valid_lines = st.tuples(st.integers(0, 4), st.integers(0, 4),
+                        st.floats(0, 10)).map(
+    lambda e: (f"{min(e[:2])} {max(e[:2])} "
+               f"{float(abs(e[0] - e[1])) + e[2]!r}").encode())
+
+
+@st.composite
+def bad_lines(draw):
+    """A line that no hopset file of path5 may hold, as bytes."""
+    cols = [str(draw(st.integers(0, 4))), str(draw(st.integers(0, 4))),
+            repr(draw(st.floats(0, 10)))]
+    at = draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["columns", "text", "weight", "id",
+                                 "wide id", "bytes"]))
+    if kind == "columns":
+        cols = draw(st.lists(st.sampled_from(cols), min_size=1,
+                             max_size=6).filter(lambda c: len(c) != 3))
+    elif kind == "text":
+        cols[at] = draw(st.text("abcxyz_.", min_size=1, max_size=4))
+    elif kind == "weight":
+        cols[2] = draw(st.sampled_from(["nan", "NaN", "inf", "-inf",
+                                        "-1", "-2.5", "-1e-300"]))
+    elif kind == "id":
+        cols[at % 2] = str(draw(st.one_of(st.integers(5, 10 ** 6),
+                                          st.integers(-10 ** 6, -1))))
+    elif kind == "wide id":
+        cols[at % 2] = str(draw(st.integers(2 ** 63, 2 ** 80))
+                           * draw(st.sampled_from([1, -1])))
+    line = " ".join(cols).encode()
+    if kind == "bytes":
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from(
+            [b"\xff", b"\x80", b"\xc3\x28", b"\xed\xa0\x80"])) + line[at:]
+    return line
+
+
+class TestFuzzHopsetFile:
+    """Generated hopset files through ``cli.main verify``: a malformed
+    one exits 2 with one JSON line on stderr and no traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(valid_lines, max_size=5), bad_lines(), st.data())
+    def test_malformed_file_exits_2(self, path5, lines, bad, data):
+        lines.insert(data.draw(st.integers(0, len(lines))), bad)
+        hopset = path5.parent / "bad.txt"
+        hopset.write_bytes(b"\n".join(lines) + b"\n")
+        code, err = run_cli(["verify", "--graph", str(path5),
+                             "--hopset", str(hopset)])
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert json.loads(err)["error"].startswith("hopset: ")
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(valid_lines, min_size=1, max_size=6))
+    def test_valid_unsorted_file_with_duplicates_exits_0(self, path5,
+                                                         lines):
+        hopset = path5.parent / "good.txt"
+        hopset.write_bytes(b"\n".join(lines + lines[::-1]) + b"\n")
+        assert run_cli(["verify", "--graph", str(path5),
+                        "--hopset", str(hopset)]) == (0, "")
+        pairs = {tuple(line.split()[:2]) for line in lines}
+        assert len(read_hopset(str(hopset))) == len(pairs)

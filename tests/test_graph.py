@@ -1,15 +1,20 @@
 import math
+import os
 import random
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from dirhopset.experiment import read_hopset, write_hopset
 from dirhopset.graph import (EdgeSet, Graph, GraphFormatError, augment,
-                             induce, load_graph, merge_min, save_graph)
+                             check_edges, induce, load_graph, merge_min,
+                             merge_min_arrays, save_graph)
 from dirhopset.search import BACKWARD, bounded_search
 
-from oracles import all_pairs, dijkstra, graph_reference, random_edges
+from oracles import (all_pairs, dijkstra, edge_dict, graph_reference,
+                     random_edges)
 
 weights = st.one_of(
     st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 1.0, 1.5, 3.0]),
@@ -274,18 +279,17 @@ class TestInduce:
         assert repr(frame.min_positive_weight) == repr(min_positive_weight)
 
 
-edge_sets = st.dictionaries(
-    st.tuples(st.integers(0, 5), st.integers(0, 5)),
-    st.floats(0, 100, allow_nan=False),
-    max_size=12,
-).map(EdgeSet)
+edge_lists = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                st.floats(0, 100, allow_nan=False)),
+                      max_size=12)
+edge_sets = edge_lists.map(EdgeSet)
 
 
 class TestMergeMin:
     def test_keeps_minimum(self):
-        a = EdgeSet({(0, 1): 3.0})
-        b = EdgeSet({(0, 1): 2.0})
-        assert merge_min(a, b).entries == {(0, 1): 2.0}
+        a = EdgeSet([(0, 1, 3.0)])
+        b = EdgeSet([(0, 1, 2.0)])
+        assert edge_dict(merge_min(a, b)) == {(0, 1): 2.0}
 
     @given(edge_sets)
     def test_identity(self, x):
@@ -306,16 +310,118 @@ class TestMergeMin:
 
     @given(edge_sets, edge_sets)
     def test_matches_naive(self, a, b):
-        want = dict(a.entries)
-        for k, w in b.entries.items():
+        want = edge_dict(a)
+        for k, w in edge_dict(b).items():
             want[k] = min(w, want.get(k, math.inf))
-        assert merge_min(a, b).entries == want
+        assert edge_dict(merge_min(a, b)) == want
+
+
+def first_lightest(edges):
+    """Sorted (u, v, w) of the first of the lightest weights per pair."""
+    best = {}
+    for u, v, w in edges:
+        if (u, v) not in best or w < best[(u, v)]:
+            best[(u, v)] = w
+    return [(u, v, w) for (u, v), w in sorted(best.items())]
+
+
+# unsorted edges with repeated pairs, and weights that are equal but
+# for their bits (0.0 and -0.0); ids are not checked by an edge set
+raw_edges = st.lists(st.tuples(
+    st.integers(-1, 4), st.integers(-1, 4),
+    st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5]),
+              st.floats(0, 100))), max_size=10)
+edge_set_ops = st.lists(st.tuples(st.sampled_from(
+    ["add", "extend", "from_arrays", "merge_min", "read"]), raw_edges),
+    max_size=6)
+
+
+def lexsort_merge(u, v, w):
+    """``merge_min_arrays`` by a stable sort on w too: the first of the
+    lightest rows per pair, NaN sorted last."""
+    order = np.lexsort((w, v, u))
+    u, v = u[order], v[order]
+    first = np.ones(len(u), dtype=bool)
+    first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    return u[first], v[first], w[order[first]]
+
+
+class TestMergeMinArrays:
+    @given(st.lists(st.tuples(
+        st.one_of(st.integers(-1, 3), st.just(2 ** 70)), st.integers(-1, 3),
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, math.inf, math.nan, -1.0])),
+        max_size=16))
+    def test_equals_lexsort_reference(self, edges):
+        # ids beyond 64 bits come as objects, as from an EdgeSet
+        ids = object if any(u == 2 ** 70 for u, _, _ in edges) else np.int64
+        u, v, w = columns(edges)
+        u, v, w = np.array(u, ids), np.array(v, ids), np.array(w, float)
+        got, want = merge_min_arrays(u, v, w), lexsort_merge(u, v, w)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
+        assert got[2].tobytes() == want[2].tobytes()  # weight bits
+
+
+class TestEdgeSet:
+    @given(raw_edges, edge_set_ops)
+    @example([(0, 1, 0.0)], [("extend", [(0, 1, -0.0)]),
+                             ("add", [(0, 1, -0.0), (0, 0, 1.0)])])
+    def test_interleaving_equals_dict_oracle(self, first, ops):
+        h, edges = EdgeSet(first), list(first)
+        for op, batch in ops:
+            if op == "add":
+                for edge in batch:
+                    h.add(*edge)
+            elif op == "extend":
+                h.extend(*columns(batch))
+            elif op == "from_arrays":
+                h = EdgeSet.from_arrays(*(
+                    col.tolist() + list(more)
+                    for col, more in zip(h.arrays(), columns(batch))))
+            elif op == "merge_min":
+                h = merge_min(h, EdgeSet.from_arrays(*columns(batch)))
+            else:
+                assert len(h) == len(first_lightest(edges))
+            if op != "read":
+                edges += batch
+        want = first_lightest(edges)
+        assert repr(list(h)) == repr(want)  # repr tells -0.0 from 0.0
+        u, v, w = h.arrays()
+        assert (u.dtype, v.dtype, w.dtype) == (np.int64, np.int64,
+                                               np.float64)
+        pairs = list(zip(u.tolist(), v.tolist()))
+        assert pairs == sorted(set(pairs))
+
+    def test_ids_beyond_64_bits_stay_objects(self):
+        h = EdgeSet([(2 ** 70, 0, 1.0), (0, 1, 2.0)])
+        h.add(0, 1, 1.0)
+        assert list(h) == [(0, 1, 1.0), (2 ** 70, 0, 1.0)]
+        assert h.arrays()[0].dtype == object
+        with pytest.raises(ValueError, match="out of range"):
+            check_edges(4, *h.arrays())
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                              st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                                        st.floats(0, 1e6))), max_size=10))
+    def test_file_round_trip(self, edges):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "h.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{u} {v} {w!r}\n" for u, v, w in edges)
+            h = read_hopset(path)
+            want = first_lightest(edges)
+            assert repr(list(h)) == repr(want)
+            write_hopset(path, h, {})
+            text = "".join(f"{u} {v} {w!r}\n" for u, v, w in want)
+            assert open(path, encoding="utf-8").read() == text
+            write_hopset(path, read_hopset(path), {})
+            assert open(path, encoding="utf-8").read() == text
 
 
 class TestAugment:
     def test_shortcut_used(self):
         g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        aug = augment(g, EdgeSet({(0, 2): 2.0}))
+        aug = augment(g, EdgeSet([(0, 2, 2.0)]))
         assert aug.edge_weight(0, 2) == 2.0
         assert dijkstra(3, list(aug.iter_edges()), 0)[2] == 2.0
 
@@ -326,13 +432,13 @@ class TestAugment:
 
     def test_original_unmodified(self):
         g = Graph(2, [(0, 1, 5.0)])
-        augment(g, EdgeSet({(0, 1): 1.0}))
+        augment(g, EdgeSet([(0, 1, 1.0)]))
         assert g.edge_weight(0, 1) == 5.0
 
     def test_out_of_range_endpoint(self):
         for u in (9, 2 ** 70, -2 ** 70):
             with pytest.raises(ValueError, match="out of range"):
-                augment(Graph(2, []), EdgeSet({(0, u): 1.0}))
+                augment(Graph(2, []), EdgeSet([(0, u, 1.0)]))
 
     def test_valid_hopset_preserves_distances(self):
         # any hopset whose weights dominate true distances cannot change

@@ -13,7 +13,7 @@ from dirhopset.hopset import (Instrumentation, RecursionFrame, ShortcutSink,
 from dirhopset.parallel import phopset
 from dirhopset.params import derive_params
 
-from oracles import dijkstra, graph_reference, random_edges
+from oracles import dijkstra, edge_dict, graph_reference, random_edges
 from trace_checks import verify_frames
 
 
@@ -87,7 +87,7 @@ class TestHsRecurse:
         assert instr.frames, "expected at least the root frame"
         verify_frames(g, instr.frames)
         dist = [dijkstra(6, edges, s) for s in range(6)]
-        for (u, v), w in out.entries.items():
+        for u, v, w in out:
             assert w == dist[u][v]
 
     def test_random_traces(self):
@@ -101,7 +101,7 @@ class TestHsRecurse:
                                    seed=trial, record=True)
             verify_frames(g, instr.frames)
             dist = {}
-            for (u, v), w in out.entries.items():
+            for u, v, w in out:
                 if u not in dist:
                     dist[u] = dijkstra(24, edges, u)
                 assert w == dist[u][v]
@@ -130,7 +130,7 @@ class TestDrivers:
         g = Graph(9, [(i, i + 1, 1.0) for i in range(8)])
         params = practical(9, L=4)  # every vertex is a shortcutter
         h = hopset_unweighted(g, params, 0)
-        assert h.entries.get((0, 8)) == 8.0
+        assert edge_dict(h).get((0, 8)) == 8.0
 
     def test_rejects_non_unit_weights(self):
         with pytest.raises(ValueError):
@@ -144,7 +144,7 @@ class TestDrivers:
         h = hopset_unweighted(g, practical(60, L=1), 3)
         assert len(h) > 0
         cache = {}
-        for (u, v), w in h.entries.items():
+        for u, v, w in h:
             if u not in cache:
                 cache[u] = dijkstra(60, edges, u)
             assert w == cache[u][v]
@@ -156,7 +156,7 @@ class TestDrivers:
         h = hopset_weighted(g, practical(50, L=1), 4)
         assert len(h) > 0
         cache = {}
-        for (u, v), w in h.entries.items():
+        for u, v, w in h:
             if u not in cache:
                 cache[u] = dijkstra(50, edges, u)
             assert w == cache[u][v]
@@ -165,13 +165,13 @@ class TestDrivers:
         g = Graph(3, [(0, 1, 0.0), (1, 2, 0.0), (2, 0, 0.0)])
         h = hopset_weighted(g, practical(3), 0)
         # original edges are suppressed; the missing closures appear at w=0
-        assert h.entries == {(0, 2): 0.0, (1, 0): 0.0, (2, 1): 0.0}
+        assert edge_dict(h) == {(0, 2): 0.0, (1, 0): 0.0, (2, 1): 0.0}
 
     def test_existing_edges_not_duplicated(self):
         g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         h = hopset_unweighted(g, practical(4, L=2), 0)
-        for (u, v) in h.entries:
-            assert g.edge_weight(u, v) != h.entries[(u, v)]
+        for u, v, w in h:
+            assert g.edge_weight(u, v) != w
 
     def test_deterministic(self):
         rng = random.Random(8)
@@ -191,7 +191,7 @@ class TestDrivers:
         want = hopset_weighted(scaled, practical(30), 2)
         got = hopset_weighted(Graph(30, edges), practical(30), 2)
         assert len(want) > 0
-        assert got.entries == {k: w / s for k, w in want.entries.items()}
+        assert edge_dict(got) == {k: w / s for k, w in edge_dict(want).items()}
 
     @pytest.mark.parametrize("build", [
         lambda g: hopset_weighted(g, practical(3)),
@@ -228,7 +228,7 @@ class TestDrivers:
         instr = Instrumentation()
         h = hopset_weighted(g, practical(12, c=20, L=4), 0, instr=instr)
         assert instr.per_level == {}
-        assert h.entries == {(i, j): float(j - i) for i in range(12)
+        assert edge_dict(h) == {(i, j): float(j - i) for i in range(12)
                              for j in range(i + 2, 12)}
 
     def test_scale_range_defaults(self):
@@ -291,7 +291,7 @@ class TestValidHopsets:
         scaled = [(u, v, w * s) for u, v, w in edges]
         fwd = [dijkstra(n, scaled, x) for x in range(n)]
         bwd = [dijkstra(n, scaled, x, reverse=True) for x in range(n)]
-        for (u, v), w in h.entries.items():
+        for u, v, w in h:
             assert u != v
             sums = (fwd[u][v] / s, bwd[v][u] / s)
             edge = g.edge_weight(u, v)

@@ -99,26 +99,26 @@ class TestCheckHopset:
 
     def test_undercut_edge_flagged(self):
         g = path_graph(5)
-        rep = check_hopset(g, EdgeSet({(0, 4): 3.0}), beta=4, epsilon=0.0)
+        rep = check_hopset(g, EdgeSet([(0, 4, 3.0)]), beta=4, epsilon=0.0)
         assert not rep.ok
         assert any(v.get("edge") == [0, 4] for v in rep.validity_violations)
 
     def test_edge_between_unreachable_pair(self):
         g = path_graph(4)
-        rep = check_hopset(g, EdgeSet({(3, 0): 1.0}), beta=3, epsilon=0.0)
+        rep = check_hopset(g, EdgeSet([(3, 0, 1.0)]), beta=3, epsilon=0.0)
         assert any(v.get("edge") == [3, 0] for v in rep.validity_violations)
 
     def test_tolerance_is_relative(self):
         # an absolute 1e-9 would pass both shortcuts as exact
         g = Graph(3, [(0, 1, 1e-12), (1, 2, 1e-12)])
-        rep = check_hopset(g, EdgeSet({(0, 2): 0.0}), beta=2, epsilon=0.0)
+        rep = check_hopset(g, EdgeSet([(0, 2, 0.0)]), beta=2, epsilon=0.0)
         assert rep.validity_violations[0] == {
             "edge": [0, 2], "weight": 0.0, "distance": 2e-12}
         assert {"pair": [0, 2], "beta_dist": 0.0, "distance": 2e-12,
                 "reason": "beta-hop distance below truth"} \
             in rep.validity_violations
         g = Graph(3, [(0, 1, 0.0), (1, 2, 0.0)])
-        rep = check_hopset(g, EdgeSet({(0, 2): 1e-12}), beta=1, epsilon=0.0,
+        rep = check_hopset(g, EdgeSet([(0, 2, 1e-12)]), beta=1, epsilon=0.0,
                            collect_pairs=True)
         assert not rep.validity_violations
         assert {"pair": [0, 2], "beta_dist": 1e-12, "distance": 0.0} \
@@ -132,8 +132,8 @@ class TestCheckHopset:
 
     def test_exact_hopset_ratio_one(self):
         g = path_graph(10)
-        h = EdgeSet({(u, v): float(v - u)
-                     for u in range(10) for v in range(u + 2, 10)})
+        h = EdgeSet((u, v, float(v - u))
+                    for u in range(10) for v in range(u + 2, 10))
         rep = check_hopset(g, h, beta=2, epsilon=0.0, pair_sample="all-pairs")
         assert not rep.validity_violations
         assert rep.max_ratio == 1.0
@@ -175,9 +175,9 @@ class TestCheckHopset:
         assert rep.pairs_checked <= 4 * 20
 
     @pytest.mark.parametrize("entries", [
-        {(0, 9): 1.0}, {(9, 0): 1.0}, {(-1, 2): 1.0}, {(1, -3): 1.0},
-        {(0, 2): math.nan}, {(0, 2): INF}, {(0, 1): INF}, {(0, 2): -1.0},
-        {(2 ** 70, 0): 1.0}, {(0, -2 ** 70): 1.0}])
+        [(0, 9, 1.0)], [(9, 0, 1.0)], [(-1, 2, 1.0)], [(1, -3, 1.0)],
+        [(0, 2, math.nan)], [(0, 2, INF)], [(0, 1, INF)], [(0, 2, -1.0)],
+        [(2 ** 70, 0, 1.0)], [(0, -2 ** 70, 1.0)]])
     def test_bad_hopset_rejected(self, entries):
         with pytest.raises(ValueError):
             check_hopset(path_graph(4), EdgeSet(entries), beta=3,
@@ -195,7 +195,7 @@ class TestCheckHopset:
         # a NaN bound would pass every ratio
         args = {"beta": 3, "epsilon": 0.0, **kw}
         with pytest.raises(ValueError, match=fragment):
-            check_hopset(path_graph(4), EdgeSet({(0, 3): 9.0}), **args)
+            check_hopset(path_graph(4), EdgeSet([(0, 3, 9.0)]), **args)
 
     def test_json_roundtrip_stable(self):
         g = path_graph(6)
@@ -205,6 +205,19 @@ class TestCheckHopset:
 
 
 class TestMeasureHopbound:
+    @pytest.mark.parametrize("pairs, epsilon, fragment", [
+        ([(0, -1)], 0.0, r"pair \(0,-1\) out of range for n=4"),
+        ([(0, 3), (0, 4)], 0.0, r"pair \(0,4\) out of range for n=4"),
+        ([(-2, 3)], 0.0, r"pair \(-2,3\) out of range"),
+        ([(0, 3)], math.nan, "epsilon must be finite and >= 0, got nan"),
+        ([(0, 3)], -0.5, "epsilon must be finite and >= 0, got -0.5"),
+        ([(0, 3)], INF, "epsilon must be finite and >= 0, got inf")])
+    def test_bad_arguments_named(self, pairs, epsilon, fragment):
+        # unchecked, (0, -1) measured (0, 3), (0, 4) raised IndexError,
+        # NaN returned 1 and -0.5 blamed the hopset
+        with pytest.raises(ValueError, match=fragment):
+            measure_hopbound(path_graph(4), EdgeSet(), epsilon, pairs)
+
     def test_single_edge(self):
         g = Graph(2, [(0, 1, 1.0)])
         assert measure_hopbound(g, EdgeSet(), 0.0, [(0, 1)]) == 1
@@ -229,7 +242,7 @@ class TestMeasureHopbound:
 
     def test_epsilon_slack_lowers_beta(self):
         g = path_graph(9)
-        h = EdgeSet({(0, 8): 9.0})  # 12.5% overestimate
+        h = EdgeSet([(0, 8, 9.0)])  # 12.5% overestimate
         assert measure_hopbound(g, h, 0.0, [(0, 8)]) == 8
         assert measure_hopbound(g, h, 0.2, [(0, 8)]) == 1
 
@@ -284,7 +297,10 @@ class TestKernelProperties:
                        for u, v in pairs if truth[u][v] < INF)
 
         expected = next((b for b in range(1, n + 1) if satisfied(b)), None)
-        if expected is None:
+        if epsilon < 0:  # no claim to measure
+            with pytest.raises(ValueError, match="epsilon must be finite"):
+                measure_hopbound(g, h, epsilon, pairs)
+        elif expected is None:
             with pytest.raises(ValueError):
                 measure_hopbound(g, h, epsilon, pairs)
         else:
