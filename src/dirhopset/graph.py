@@ -6,17 +6,19 @@ forward and reverse adjacency lists over dense 0-based vertex ids.
 ``Graph(n, edges)`` and ``Graph.from_arrays`` validate (``check_edges``)
 and min-merge with numpy and build each list on first use.  An induced
 subgraph keeps its parent's ids: its adjacency is dicts keyed by member,
-filtered from the parent's lists.  Weights stay in the input's units:
-the drivers normalise them.  Graphs are immutable after construction;
-EdgeSet, the same sorted arrays, is the single mutable accumulator of
-hopset edges.  ``merge_min_arrays`` is the one min-merge; ``to_csr``
-groups edges for ``Graph.csr`` and the verifier's G + H;
+built from edges cut from the parent's CSR (``cut_frames``).  Weights
+stay in the input's units: the drivers normalise them.  Graphs are
+immutable after construction; EdgeSet, the same sorted arrays, is the
+single mutable accumulator of hopset edges.  ``merge_min_arrays`` is
+the one min-merge; ``to_csr`` groups edges for ``Graph.csr`` and the
+verifier's G + H;
 ``Graph.lighter`` joins pairs against a graph's edges; ``read_edges``
 and ``write_edges`` are the graph and hopset file codec.
 """
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -249,14 +251,16 @@ class InducedSubgraph:
     (ascending), in the parent's ids, which are in [0, n).
 
     ``fwd[x]`` and ``rev[x]`` hold, for each member x, the parent's
-    (y, w) pairs whose y is a member, in the parent's order.  The
-    subgraph on all vertices shares the parent and keeps no lists.
+    (y, w) pairs whose y is a member, in the parent's order: ``edges``
+    in (u, v) order, else a cut of the subset.  The subgraph on all
+    vertices shares the parent and keeps no lists.
     """
 
     __slots__ = ("parent", "global_ids", "n", "fwd", "rev",
                  "min_positive_weight")
 
-    def __init__(self, parent: Graph, subset: Iterable[int]):
+    def __init__(self, parent: Graph, subset: Iterable[int],
+                 edges: Optional[Iterable[Edge]] = None):
         ids = sorted(set(subset))
         if ids and (ids[0] < 0 or ids[-1] >= parent.n):
             raise ValueError("vertex id out of range for induced subgraph")
@@ -265,17 +269,17 @@ class InducedSubgraph:
             self.fwd = self.rev = None
             self.min_positive_weight = parent.min_positive_weight
             return
-        pfwd = parent.fwd
-        fwd, rev = self.fwd, self.rev = {}, {x: [] for x in ids}
-        for x in ids:
-            fwd[x] = nbrs = []
-            for y, w in pfwd[x]:
-                if y in rev:  # a member
-                    nbrs.append((y, w))
-                    rev[y].append((x, w))
-        self.min_positive_weight = min(
-            (w for nbrs in fwd.values() for _, w in nbrs if w > 0),
-            default=math.inf)
+        if edges is None:
+            edges = zip(*_cut(parent, [ids])[1])
+        fwd, rev = self.fwd, self.rev = {x: [] for x in ids}, \
+            {x: [] for x in ids}
+        low = math.inf
+        for x, y, w in edges:
+            fwd[x].append((y, w))
+            rev[y].append((x, w))
+            if 0 < w < low:
+                low = w
+        self.min_positive_weight = low
 
     def __len__(self) -> int:
         return len(self.global_ids)
@@ -283,6 +287,43 @@ class InducedSubgraph:
     @property
     def is_full(self) -> bool:
         return len(self.global_ids) == self.parent.n
+
+
+def _cut(g: Graph, parts: Sequence[Sequence[int]]
+         ) -> Tuple[List[int], Tuple[list, list, list], np.ndarray]:
+    """(bounds, (u, v, w), low): part i's edges, in (u, v) order, are
+    the lists' items bounds[i]:bounds[i + 1], and low[i] is its lightest
+    positive edge weight (inf if none).  They are cut from g's CSR in one
+    pass: a member's row is gathered, and a head kept when its key
+    part * n + head is one of the part's keys, which ascend."""
+    sizes = [len(p) for p in parts]
+    members = np.fromiter(chain.from_iterable(parts), np.int64, sum(sizes))
+    part = np.repeat(np.arange(len(parts)), sizes)
+    keys = part * g.n + members
+    indptr, heads, wts = g.csr()
+    count = np.diff(indptr)[members]
+    edge = np.repeat(indptr[members] - np.cumsum(count) + count, count)
+    edge += np.arange(len(edge))  # each member's row, in turn
+    tails, part = np.repeat(members, count), np.repeat(part, count)
+    key = part * g.n + heads[edge]
+    keep = keys[np.searchsorted(keys, key).clip(max=len(keys) - 1)] == key
+    edge, part, w = edge[keep], part[keep], wts[edge[keep]]
+    low = np.full(len(parts), np.inf)
+    np.minimum.at(low, part, np.where(w > 0, w, np.inf))
+    bounds = np.searchsorted(part, np.arange(len(parts) + 1)).tolist()
+    return bounds, (tails[keep].tolist(), heads[edge].tolist(),
+                    w.tolist()), low
+
+
+def cut_frames(g: Graph, parts: Sequence[Sequence[int]],
+               d: float) -> List[Optional[InducedSubgraph]]:
+    """``induce(g, part)`` for each of ``parts`` (ascending distinct ids)
+    that has a positive edge of weight at most ``d``, else None; every
+    part is cut from g's CSR in the same pass."""
+    bounds, (u, v, w), low = _cut(g, parts)
+    return [InducedSubgraph(g, p, zip(u[a:b], v[a:b], w[a:b]))
+            if x <= d else None
+            for p, a, b, x in zip(parts, bounds, bounds[1:], low.tolist())]
 
 
 def induce(g: Graph, subset: Iterable[int]) -> InducedSubgraph:

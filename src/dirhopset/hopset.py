@@ -6,7 +6,9 @@ partition the frame via forward/backward label stamps; vertices whose
 level is within L of the depth act as shortcutters and emit weighted
 shortcut edges.  Fringe vertices around each pivot's search boundary are
 replicated into a dedicated child frame.  A frame is a vertex subset of
-the driver call's root graph and keeps the root's ids throughout.
+the driver call's root graph and keeps the root's ids throughout.  The
+recursion runs a level at a time; a child frame that would return at
+once is never built.
 
 Every search on a driver call's root graph is batched, through the
 ``SearchMemo`` of one ``ShortcutSink`` that lives for the call; its
@@ -28,7 +30,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import rng as rngmod
-from .graph import EdgeArrays, EdgeSet, Graph, InducedSubgraph, induce
+from .graph import (EdgeArrays, EdgeSet, Graph, InducedSubgraph,
+                    cut_frames, induce)
 from .params import Params
 from .search import (BACKWARD, FORWARD, SearchMemo, SearchResult,
                      select_radius_with_searches)
@@ -202,21 +205,55 @@ def _run_shortcutters(sink: ShortcutSink, sub: InducedSubgraph,
             _emit_shortcuts(sink, sub, s, res, direction)
 
 
+def _frame_distance(base: float, r: int, params: Params) -> float:
+    """d_r, the distance unit of a level-r frame from distance ``base``."""
+    return base / ((params.lam ** r) * (params.k ** (r / 2.0)))
+
+
 def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
                params: Params, sigma_rng: SigmaRng, sink: ShortcutSink,
                instr: Optional[Instrumentation] = None) -> None:
-    """Process one frame and recurse into its fringe and core children.
-
-    Shortcuts go to ``sink``, a sink of the frame's root graph.  The
-    frame searches from its shortcutters, then from its pivots, through
-    the sink's root memo if it is full, else through a memo of its own.
+    """Process one frame and its subtree of fringe and core children, a
+    level at a time, each level's frames in preorder (the order of a
+    depth-first recursion).  Shortcuts go to ``sink``, a sink of the
+    frame's root graph.  A level's children are cut from the root graph
+    in one pass (``cut_frames``); a child with no positive edge within
+    its d_r would return at once and is never built.  ``instr.frames``
+    gets the subtree's traces in preorder.
     """
+    base, r = frame.base, frame.level
+    d_r = _frame_distance(base, r, params)
+    if d_r <= 0 or d_r < frame.sub.min_positive_weight:
+        return  # searches could only creep along zero-weight edges
+    first = len(instr.frames) if instr is not None else 0
+    level, paths = [((), frame)], []  # a frame's path: its child indices
+    while level:
+        parts = []  # (path, kind, vertices) of each child, in preorder
+        for path, f in level:
+            paths.append(path)
+            parts += [(path + (i,), kind, part) for i, (part, kind) in
+                      enumerate(_run_frame(f, d_r, levels, params,
+                                           sigma_rng, sink, instr))]
+        r += 1
+        d_r = _frame_distance(base, r, params)
+        subs = cut_frames(frame.sub.parent, [p for _, _, p in parts], d_r)
+        level = [(path, RecursionFrame(sub, base, r, kind))
+                 for (path, kind, _), sub in zip(parts, subs)
+                 if sub is not None]
+    if instr is not None and instr.record_frames:  # paths are distinct
+        instr.frames[first:] = [t for _, t in sorted(zip(
+            paths, instr.frames[first:]))]
+
+
+def _run_frame(frame: RecursionFrame, d_r: float, levels: Sequence[int],
+               params: Params, sigma_rng: SigmaRng, sink: ShortcutSink,
+               instr: Optional[Instrumentation]) -> List[Tuple]:
+    """Process one frame of distance unit ``d_r``, searching through the
+    sink's root memo if it is full, else through a memo of its own, and
+    return its children's (vertices, kind): fringe sets, then core
+    groups, each ascending; none at the last level."""
     sub = frame.sub
     r = frame.level
-    d_r = frame.base / ((params.lam ** r) * (params.k ** (r / 2.0)))
-    if d_r <= 0 or d_r < sub.min_positive_weight:
-        return  # searches could only creep along zero-weight edges
-
     trace: Optional[FrameTrace] = None
     if instr is not None:
         lvl = instr._level(r)
@@ -234,7 +271,7 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
     # per vertex, its (pivot, direction) labels; X: labelled both ways
     labels: Dict[int, Set[Tuple[int, str]]] = {v: set() for v in ids}
     x_flag: Set[int] = set()
-    fringe_sets: List[Set[int]] = []
+    fringe_sets: List[List[int]] = []
 
     for p in pivots:
         choice, fwd, bwd, dmin = select_radius_with_searches(
@@ -248,8 +285,8 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
         for v in anc:
             labels[v].add((p, "A"))
         x_flag.update(des & anc)
-        fringe = {v for v, d in dmin.items()
-                  if (rho - 1) * d_r < d <= (rho + 1) * d_r}
+        lo, hi = (rho - 1) * d_r, (rho + 1) * d_r
+        fringe = sorted([v for v, d in dmin.items() if lo < d <= hi])
         if fringe:
             fringe_sets.append(fringe)
         if instr is not None:
@@ -260,7 +297,7 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
         if trace is not None:
             trace.pivots.append(PivotTrace(
                 pivot=p, sigma=choice.sigma, rho=rho,
-                fringe_size=choice.fringe_size, fringe=sorted(fringe),
+                fringe_size=choice.fringe_size, fringe=fringe,
                 descendants=sorted(des), ancestors=sorted(anc)))
 
     if trace is not None:
@@ -277,12 +314,9 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
         trace.groups = ordered_groups
 
     if r >= params.max_level:
-        return
-    for part, kind in ([(f, "fringe") for f in fringe_sets]
-                       + [(grp, "core") for grp in ordered_groups]):
-        child = induce(sub.parent, part)
-        hs_recurse(RecursionFrame(child, frame.base, r + 1, kind),
-                   levels, params, sigma_rng, sink, instr)
+        return []
+    return ([(f, "fringe") for f in fringe_sets]
+            + [(grp, "core") for grp in ordered_groups])
 
 
 def _run_scale(sink: ShortcutSink, params: Params, seed: int, keys: Tuple,

@@ -9,22 +9,32 @@ pairs and of the frame trace (``Instrumentation(record_frames=True)``).
 The two benchmark workloads' drivers run on three inputs each as well.
 
 Run it from a checkout; it imports the package from that checkout's
-``src``, so a copy in another checkout digests that tree:
+``src``, or from ``--src DIR``:
 
     python tests/digest.py > digests.txt
+    python tests/digest.py --parent HEAD~1
 
-Two trees have the same outputs if their digest files are equal.  Not
-collected by pytest.
+With ``--parent REV`` it extracts ``git archive REV`` into a temporary
+directory, digests that tree's ``src`` and this checkout's with this
+script, and exits 1 after naming each line that differs, 0 if none do.
+Not collected by pytest.
 """
+import argparse
 import hashlib
+import io
 import os
 import random
 import struct
+import subprocess
 import sys
+import tarfile
 import tempfile
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                "..", "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the tree to import, read before the imports below need it
+SRC = (sys.argv[sys.argv.index("--src") + 1] if "--src" in sys.argv[:-1]
+       else os.path.join(ROOT, "src"))
+sys.path.insert(0, SRC)
 
 from dirhopset.experiment import (ExperimentConfig, read_hopset,
                                   run_experiment)
@@ -97,7 +107,8 @@ def digest(tmp: str, g: Graph, driver: str, seed: int, epsilon: float,
         sha(repr(instr.frames) + repr(instr.per_level))])
 
 
-def main() -> int:
+def digests() -> None:
+    """Print the digest line of every case."""
     with tempfile.TemporaryDirectory() as tmp:
         for family in FAMILIES:
             for seed in SEEDS:
@@ -122,6 +133,43 @@ def main() -> int:
                 tmp, g, "parallel", seed, 0.5, {"L": 1}, delta=0.05,
                 beta=16.0, sweeps=5, scale_range=(5, 6), ratio_bound=2.0),
                 flush=True)
+
+
+def compare(rev: str) -> int:
+    """Digest the tree of ``rev`` and this checkout's, both at once; 1
+    and each differing line on stdout if they differ, else 0."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
+                             capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        procs = [subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--src", src],
+            stdout=subprocess.PIPE, text=True)
+            for src in (os.path.join(tmp, "src"), os.path.join(ROOT, "src"))]
+        outs = [p.communicate()[0].splitlines() for p in procs]
+    if any(p.returncode for p in procs):
+        sys.exit("digest run failed")
+    differ = [(a, b) for a, b in zip(*outs) if a != b]
+    for a, b in differ:
+        print(f"{rev}:   {a}\nchange: {b}")
+    if len(outs[0]) != len(outs[1]):
+        print(f"{len(outs[0])} lines at {rev}, {len(outs[1])} in the change")
+    print(f"{len(outs[1])} lines, {len(differ)} differ", file=sys.stderr)
+    return int(bool(differ) or len(outs[0]) != len(outs[1]))
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", metavar="REV",
+                    help="compare this checkout's digests with REV's")
+    ap.add_argument("--src", default=SRC,
+                    help="the package tree to digest (default: this "
+                         "checkout's src)")
+    args = ap.parse_args()
+    if args.parent:
+        return compare(args.parent)
+    digests()
     return 0
 
 

@@ -9,8 +9,8 @@ from hypothesis import example, given, strategies as st
 
 from dirhopset.experiment import read_hopset, write_hopset
 from dirhopset.graph import (EdgeSet, Graph, GraphFormatError, augment,
-                             check_edges, induce, load_graph, merge_min,
-                             merge_min_arrays, save_graph)
+                             check_edges, cut_frames, induce, load_graph,
+                             merge_min, merge_min_arrays, save_graph)
 from dirhopset.search import BACKWARD, bounded_search
 
 from oracles import (all_pairs, dijkstra, edge_dict, graph_reference,
@@ -259,24 +259,61 @@ class TestInduce:
     @example((3, [(0, 1, 0.0), (1, 0, 2.0), (1, 2, 1.0)], [0, 1]))
     @example((3, [(0, 1, 0.5), (0, 1, -0.0), (1, 0, 0.25)], [0, 1]))
     def test_against_filter_oracle(self, case):
-        # each member's lists are the parent's filtered to members, by
-        # repr; the weight stats are the members' edges' own
         n, edges, ids = case
         g = Graph(n, edges)
-        frame = induce(g, ids)
-        if frame.is_full:  # searches run on g itself
-            frame = g
-        members = set(ids)
-        fwd, rev, _, min_positive_weight = graph_reference(
-            n, [(u, v, w) for u, v, w in edges
-                if u in members and v in members])
-        for x in ids:
-            for got, parent, want in ((frame.fwd, g.fwd, fwd),
-                                      (frame.rev, g.rev, rev)):
-                assert repr(got[x]) == repr(
-                    [(y, w) for y, w in parent[x] if y in members])
-                assert repr(got[x]) == repr(want[x])
-        assert repr(frame.min_positive_weight) == repr(min_positive_weight)
+        same_frame(g, n, edges, ids, induce(g, ids))
+
+
+def same_frame(g, n, edges, ids, frame):
+    """Each member's lists in ``frame`` are g's filtered to members, by
+    repr, and so are the reference lists of the members' edges; the
+    weight stats are the members' edges' own."""
+    if frame.is_full:  # searches run on g itself
+        frame = g
+    members = set(ids)
+    fwd, rev, _, min_positive_weight = graph_reference(
+        n, [(u, v, w) for u, v, w in edges if u in members and v in members])
+    for x in ids:
+        for got, parent, want in ((frame.fwd, g.fwd, fwd),
+                                  (frame.rev, g.rev, rev)):
+            assert repr(got[x]) == repr(
+                [(y, w) for y, w in parent[x] if y in members])
+            assert repr(got[x]) == repr(want[x])
+    assert repr(frame.min_positive_weight) == repr(min_positive_weight)
+
+
+@st.composite
+def cuts(draw):
+    """(n, edges, parts, d): a multigraph, a list of sorted vertex
+    subsets that may overlap, and a bound, sometimes an edge's weight."""
+    n, edges = draw(multigraphs())
+    part = st.sets(st.integers(0, max(n - 1, 0)), max_size=n).map(sorted)
+    bound = st.one_of(weights, st.sampled_from([w for _, _, w in edges])) \
+        if edges else weights
+    return n, edges, draw(st.lists(part, max_size=6)), draw(bound)
+
+
+class TestCutFrames:
+    """``cut_frames`` against the filter oracle, part by part."""
+
+    @given(cuts())
+    # a singleton part whose only edge is a positive self-loop within d
+    @example((2, [(0, 0, 0.5), (0, 1, 0.25)], [[0]], 0.5))
+    @example((3, [(0, 1, 0.0), (1, 2, 1.0), (2, 0, 3.0)],
+              [[0, 1], [1, 2], [0, 1, 2], [], [0, 2]], 1.0))
+    def test_against_filter_oracle(self, case):
+        n, edges, parts, d = case
+        g = Graph(n, edges)
+        frames = cut_frames(g, parts, d)
+        assert len(frames) == len(parts)
+        for ids, frame in zip(parts, frames):
+            members = set(ids)
+            alive = any(0 < w <= d for u, v, w in g.iter_edges()
+                        if u in members and v in members)
+            assert (frame is not None) == alive
+            if frame is not None:
+                assert frame.global_ids == ids and frame.parent is g
+                same_frame(g, n, edges, ids, frame)
 
 
 edge_lists = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),

@@ -90,21 +90,49 @@ class TestHsRecurse:
         for u, v, w in out:
             assert w == dist[u][v]
 
-    def test_random_traces(self):
+    @staticmethod
+    def random_traces():
+        """(edges, g, shortcuts, instr) of a traced root frame on each of
+        five random graphs, then on five sparser ones whose recursion goes
+        below level 1."""
         rng = random.Random(55)
-        for trial in range(5):
-            edges = random_edges(24, 60, 3, rng)
-            g = Graph(24, edges)
-            params = practical(24)
-            levels = assign_levels(24, params, random.Random(trial))
+        for trial, (n, m, w) in enumerate([(24, 60, 3)] * 5
+                                          + [(40, 80, 8)] * 5):
+            edges = random_edges(n, m, w, rng)
+            g = Graph(n, edges)
+            params = practical(n)
+            levels = assign_levels(n, params, random.Random(trial))
             out, instr = run_frame(g, levels, params, base=4.0,
                                    seed=trial, record=True)
+            yield edges, g, out, instr
+
+    def test_random_traces(self):
+        for edges, g, out, instr in self.random_traces():
             verify_frames(g, instr.frames)
             dist = {}
             for u, v, w in out:
                 if u not in dist:
-                    dist[u] = dijkstra(24, edges, u)
+                    dist[u] = dijkstra(g.n, edges, u)
                 assert w == dist[u][v]
+
+    def test_random_traces_in_preorder(self):
+        # the level loop must give the traces and the per-level counters
+        # in the order of a depth-first recursion
+        nested = 0
+        for _, _, _, instr in self.random_traces():
+            frames = instr.frames
+            assert frames[0].kind == "root"
+            for i, ft in enumerate(frames[1:], 1):
+                parent = next(p for p in reversed(frames[:i])
+                              if p.level == ft.level - 1)
+                assert ft.vertices in [pt.fringe for pt in parent.pivots] \
+                    + parent.groups
+                nested += ft.level >= 2
+            for r, lvl in instr.per_level.items():
+                assert lvl["fringe_sizes"] == [
+                    pt.fringe_size for ft in frames if ft.level == r
+                    for pt in ft.pivots]
+        assert nested  # frames below level 1 tell preorder from level order
 
     def test_child_levels_increment(self):
         rng = random.Random(2)
