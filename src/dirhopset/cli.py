@@ -10,7 +10,7 @@ from typing import List, Optional
 from .experiment import (ExperimentConfig, ExperimentError, run_experiment)
 from .generate import FAMILIES, generate
 from .graph import save_graph, write_edges
-from .params import MODE_PAPER, MODE_PRACTICAL
+from .params import MODE_PAPER, MODE_PRACTICAL, OVERRIDES
 
 
 def _load_config_file(path: str) -> dict:
@@ -73,20 +73,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ratio-bound", type=float, dest="ratio_bound")
 
 
-def _config_from_args(args: argparse.Namespace,
-                      defaults: Optional[dict] = None) -> ExperimentConfig:
-    data = dict(defaults or {})
-    if getattr(args, "config", None):
-        data.update(_load_config_file(args.config))
-    override_keys = ["graph_path", "family", "n", "m", "max_weight", "seed",
-                     "epsilon", "k", "lam", "mode", "algorithm", "delta",
-                     "beta", "sweeps", "out", "report_path", "csv_path",
-                     "verify", "verify_beta", "ratio_bound"]
-    for key in override_keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            data[key] = value
-    sr = getattr(args, "scale_range", None)
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's settings, then each given flag: a flag sets the
+    config field, or the ``overrides`` key, named by its dest."""
+    data = _load_config_file(args.config) if args.config else {}
+    fields = ExperimentConfig.__dataclass_fields__
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    data.update((k, v) for k, v in flags.items() if k in fields)
+    sr = flags.get("scale_range")
     if sr is not None:
         lo, _, hi = sr.partition(":")
         try:
@@ -96,10 +90,8 @@ def _config_from_args(args: argparse.Namespace,
                 f"config: --scale-range must be 'lo:hi', got {sr!r}"
             ) from None
     cfg = ExperimentConfig.from_dict(data)
-    for key in ("repetitions", "L"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg.overrides = {**cfg.overrides, key: value}
+    cfg.overrides = {**cfg.overrides,
+                     **{k: v for k, v in flags.items() if k in OVERRIDES}}
     return cfg
 
 
@@ -128,10 +120,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, defaults={"algorithm": None,
-                                            "verify": "all-pairs"})
+    cfg = _config_from_args(args)
     cfg.algorithm = None
-    cfg.hopset_path = args.hopset
     report, code = run_experiment(cfg)
     print(f"pairs checked: {report.pairs_checked}  "
           f"max ratio: {report.max_ratio:.6f}  "
@@ -200,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify an existing hopset file")
     _add_common(p)
-    p.add_argument("--hopset", required=True)
+    p.add_argument("--hopset", dest="hopset_path", required=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="run the pipeline over several sizes")

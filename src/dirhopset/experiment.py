@@ -173,22 +173,22 @@ def run_experiment(cfg: ExperimentConfig
         except ValueError as exc:
             raise ExperimentError(f"verify: {exc}") from exc
 
-    try:
-        params = derive_params(g.n, cfg.epsilon, cfg.k, cfg.lam,
-                               cfg.mode, **cfg.overrides)
-        if cfg.algorithm == "parallel":
-            check_rounding(cfg.delta, cfg.beta)
-    except ValueError as exc:
-        raise ExperimentError(f"params: {exc}") from exc
-
     instr = Instrumentation()
-    t0 = time.perf_counter()
-    if cfg.algorithm:
+    if cfg.algorithm:  # only a build reads the params
+        try:
+            params = derive_params(g.n, cfg.epsilon, cfg.k, cfg.lam,
+                                   cfg.mode, **cfg.overrides)
+            if cfg.algorithm == "parallel":
+                check_rounding(cfg.delta, cfg.beta)
+        except ValueError as exc:
+            raise ExperimentError(f"params: {exc}") from exc
+        t0 = time.perf_counter()
         try:
             h = _build(cfg, g, params, instr)
         except ValueError as exc:  # the graph does not suit the driver
             raise ExperimentError(f"build: {exc}") from exc
     elif cfg.hopset_path:
+        t0 = time.perf_counter()
         try:
             h = read_hopset(cfg.hopset_path)
             check_edges(g.n, *h.arrays())  # ids in range for g
@@ -210,10 +210,13 @@ def run_experiment(cfg: ExperimentConfig
         write_hopset(cfg.out, h, sidecar)
 
     if cfg.verify:
-        report = check_hopset(g, h, beta, cfg.epsilon,
-                              pair_sample=cfg.verify, seed=cfg.seed,
-                              ratio_bound=cfg.ratio_bound,
-                              collect_pairs=bool(cfg.csv_path))
+        try:
+            report = check_hopset(g, h, beta, cfg.epsilon,
+                                  pair_sample=cfg.verify, seed=cfg.seed,
+                                  ratio_bound=cfg.ratio_bound,
+                                  collect_pairs=bool(cfg.csv_path))
+        except ValueError as exc:  # the graph's paths overflow a float
+            raise ExperimentError(f"verify: {exc}") from exc
     else:
         report = VerificationReport(hopset_size=len(h))
     report.per_level_counters = instr.to_dict()

@@ -336,7 +336,7 @@ def read_edges(path: str, header: bool = False
     (None, None), and the lists (u, v, w) of the edges in file order.
 
     Blank lines and lines starting with '#' are skipped.  A graph file
-    (``header``) starts with "n m", n fitting in 64 bits; each further
+    (``header``) starts with "n m", 0 <= n < 2^63; each further
     line is "u v [w]", w defaulting to 1 and each id in [0, n).  Each
     line of a hopset file is "u v w".  w must be finite and >= 0.
     GraphFormatError names the line that breaks these rules, or the
@@ -363,6 +363,8 @@ def read_edges(path: str, header: bool = False
                 if not -2 ** 63 <= n < 2 ** 63:  # then ids fit too
                     raise GraphFormatError(
                         f"{path}:{lineno}: n does not fit in 64 bits")
+                if n < 0:
+                    raise GraphFormatError(f"{path}:{lineno}: n must be >= 0")
                 continue
             if len(parts) != 3 and not (header and len(parts) == 2):
                 raise GraphFormatError(f"{path}:{lineno}: {usage}")

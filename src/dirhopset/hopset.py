@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -344,12 +345,32 @@ def _run_scale(sink: ShortcutSink, params: Params, seed: int, keys: Tuple,
                        seed, prefix + "sigma", *keys, gid), sink, instr)
 
 
+def top_scale(paths: float) -> int:
+    """ceil(log2(paths)) for a bound ``paths`` on the path lengths of a
+    driver's graph; ValueError as in ``check_scales``."""
+    if not paths < math.inf:
+        raise ValueError(f"weight range overflows a float: path lengths "
+                         f"up to {paths!r}")
+    return math.ceil(math.log2(paths))
+
+
+def check_scales(scales: Tuple[int, int]) -> Tuple[int, int]:
+    """A driver's (lo, hi) scale exponents.  The drivers refuse, with
+    ValueError "weight range overflows a float", a graph whose path
+    lengths (``top_scale``) or top search distance 2^(hi + 1) would."""
+    if scales[1] + 1 >= sys.float_info.max_exp:
+        raise ValueError(f"weight range overflows a float: distance "
+                         f"scale 2^{scales[1] + 1}")
+    return scales
+
+
 def default_scale_range(n: int, weighted: bool,
                         max_weight: float = 1.0) -> Tuple[int, int]:
-    """Inclusive (lo, hi) distance-scale exponents for the drivers."""
+    """Inclusive (lo, hi) distance-scale exponents for the drivers;
+    ValueError as in ``top_scale``."""
     log_n = math.log2(n)
     if weighted:
-        return (-1, math.ceil(math.log2(n * max(max_weight, 1.0))))
+        return (-1, top_scale(n * max(max_weight, 1.0)))
     return (math.ceil(log_n / 2.0), math.ceil(log_n))
 
 
@@ -375,7 +396,8 @@ def _run_scales(g: Graph, params: Params, seed: int, weighted: bool,
                 scale_range: Optional[Tuple[int, int]],
                 instr: Optional[Instrumentation]) -> EdgeSet:
     g, s = normalize_weights(g)
-    lo, hi = scale_range or default_scale_range(g.n, weighted, g.max_weight)
+    default = default_scale_range(g.n, weighted, g.max_weight)
+    lo, hi = check_scales(scale_range or default)
     sink = ShortcutSink(g)
     for rep in range(params.repetitions):
         for j in range(lo, hi + 1):
@@ -401,5 +423,6 @@ def hopset_weighted(g: Graph, params: Params, seed: int = 0, *,
 
     A given ``scale_range`` (inclusive distance-scale exponents) is in
     the units of ``normalize_weights(g)``, which the build runs on.
+    ValueError as in ``normalize_weights`` and ``check_scales``.
     """
     return _run_scales(g, params, seed, True, scale_range, instr)

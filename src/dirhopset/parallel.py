@@ -20,8 +20,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .graph import EdgeSet, Graph, concat_arrays
-from .hopset import (Instrumentation, ShortcutSink, normalize_weights,
-                     _run_scale)
+from .hopset import (Instrumentation, ShortcutSink, check_scales,
+                     normalize_weights, top_scale, _run_scale)
 from .params import MODE_PAPER, Params
 
 
@@ -106,7 +106,8 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
     distance is 0.  A pair no lighter than the edge of ``g`` it
     parallels is left out.  A given ``scale_range`` (inclusive
     distance-scale exponents) is in the units of ``normalize_weights(g)``,
-    the graph ``gs`` the build runs on.
+    the graph ``gs`` the build runs on.  ValueError as in
+    ``normalize_weights`` and ``check_scales``.
     """
     gs, s = normalize_weights(g)
     n = g.n
@@ -116,8 +117,8 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
     if sweeps is None:
         sweeps = math.ceil(params.lam * params.log_n ** 2) \
             if params.mode == MODE_PAPER else params.repetitions
-    lo, hi = scale_range or (
-        -2, math.ceil(math.log2(n * n * max(gs.max_weight, 1.0))))
+    top = top_scale(n * n * max(gs.max_weight, 1.0))
+    lo, hi = check_scales(scale_range or (-2, top))
 
     floor = gs.min_positive_weight
     hopset = EdgeSet()

@@ -8,12 +8,15 @@ logarithms of n, matching the power-of-two distance scales.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, asdict
 
 MODE_PAPER = "paper"
 MODE_PRACTICAL = "practical"
-OVERRIDES = ("L", "c", "repetitions", "interval_count", "interval_width",
-             "rho_min", "rho_max")
+# practical mode's constants and their defaults, each overridable by name
+PRACTICAL = {"L": 2, "c": 0.0, "repetitions": 1, "interval_count": 2,
+             "interval_width": 2, "rho_min": 3.0}
+OVERRIDES = tuple(PRACTICAL)
 
 
 @dataclass(frozen=True)
@@ -41,18 +44,23 @@ class Params:
 
 
 def _validate(p: Params) -> Params:
-    if p.k < 2:
-        raise ValueError("k must be >= 2")
     if p.lam < 1:
         raise ValueError("lambda must be >= 1")
+    if not abs(p.c) * math.log2(p.k) < sys.float_info.max_exp - 1:
+        raise ValueError(f"c must be finite, with k^c and k^-c finite "
+                         f"floats, got {p.c}")
+    if p.repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {p.repetitions}")
+    if p.interval_count < 1:
+        raise ValueError(
+            f"interval_count must be >= 1, got {p.interval_count}")
     if p.interval_width < 2:
         raise ValueError("interval width must be >= 2")
-    if not (p.rho_max > p.rho_min > 1):
-        raise ValueError("need rho_max > rho_min > 1")
-    span = p.rho_max - (p.rho_min + 1)
-    if abs(span - p.interval_count * p.interval_width) > 1e-9:
-        raise ValueError(
-            "interval_count * interval_width must span [rho_min+1, rho_max)")
+    # the radii are integers drawn from [rho_min + 1, rho_max), so the
+    # range must lie where floats hold every integer
+    if not 1 < p.rho_min < p.rho_max <= 2.0 ** sys.float_info.mant_dig:
+        raise ValueError(f"need 1 < rho_min and rho_max <= 2^53, got "
+                         f"rho_min = {p.rho_min}, rho_max = {p.rho_max}")
     return p
 
 
@@ -60,10 +68,12 @@ def derive_params(n: int, epsilon: float, k: int = 2, lam: int = 8,
                   mode: str = MODE_PAPER, **overrides) -> Params:
     """Fill in all derived constants for the given mode.
 
-    Paper mode ignores ``overrides`` except ``repetitions``.  Practical
-    mode accepts explicit constants via ``overrides``; unspecified ones get
-    small defaults suited to desk-scale graphs.  ValueError for a key
-    not in ``OVERRIDES``.
+    Practical mode takes ``PRACTICAL`` with ``overrides`` merged over
+    it.  Paper mode derives every constant but ``repetitions`` and
+    raises ValueError for any other override.  Both derive rho_max =
+    rho_min + 1 + interval_count * interval_width, so the intervals
+    tile [rho_min + 1, rho_max).  ValueError for a key not in
+    ``OVERRIDES`` or a value ``_validate`` rejects.
     """
     unknown = sorted(set(overrides) - set(OVERRIDES))
     if unknown:
@@ -75,39 +85,29 @@ def derive_params(n: int, epsilon: float, k: int = 2, lam: int = 8,
     if k < 2:
         raise ValueError("k must be >= 2")
     log_n = math.log2(n)
-    max_level = max(1, math.ceil(math.log(n, k)))
     if mode == MODE_PAPER:
-        rho_min = 16.0 * lam * lam * k * k * log_n * log_n - 1.0
-        interval_count = math.ceil(4.0 * lam * lam * k * log_n * log_n)
-        interval_width = 4 * k
-        # rho_max defined through the span so the interval invariant holds
-        # exactly; equals 32*lam^2*k^2*log^2(n) when log2(n) is integral.
-        rho_max = rho_min + 1.0 + interval_count * interval_width
-        if epsilon > 0:
-            L = math.ceil(15.0 - 2.0 * math.log(epsilon, k))
-        else:
-            L = 15
+        ignored = sorted(set(overrides) - {"repetitions"})
+        if ignored:
+            raise ValueError(f"paper mode derives {ignored}; only "
+                             "repetitions may be overridden")
+        L = math.ceil(15.0 - 2.0 * math.log(epsilon, k)) if epsilon > 0 \
+            else 15
         kc = (lam ** L) * (k ** ((L - 1) / 2.0)) / (32.0 * log_n ** 3)
-        c = math.log(kc, k)
-        repetitions = overrides.get("repetitions",
-                                    math.ceil(lam * log_n))
-        return _validate(Params(
-            n=n, k=k, lam=lam, L=L, c=c, epsilon=epsilon,
-            repetitions=repetitions, interval_count=interval_count,
-            interval_width=interval_width, rho_min=rho_min, rho_max=rho_max,
-            max_level=max_level, mode=MODE_PAPER))
-    if mode != MODE_PRACTICAL:
+        # rho_max is then 32*lam^2*k^2*log^2(n) when log2(n) is integral
+        const = {
+            "L": L, "c": math.log(kc, k),
+            "repetitions": math.ceil(lam * log_n),
+            "interval_count": math.ceil(4.0 * lam * lam * k * log_n * log_n),
+            "interval_width": 4 * k,
+            "rho_min": 16.0 * lam * lam * k * k * log_n * log_n - 1.0,
+            **overrides}
+    elif mode == MODE_PRACTICAL:
+        const = {**PRACTICAL, **overrides}
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    L = overrides.get("L", 2)
-    c = overrides.get("c", 0.0)
-    repetitions = overrides.get("repetitions", 1)
-    interval_count = overrides.get("interval_count", 2)
-    interval_width = overrides.get("interval_width", 2)
-    rho_min = overrides.get("rho_min", 3.0)
-    rho_max = overrides.get(
-        "rho_max", rho_min + 1.0 + interval_count * interval_width)
+    const["c"], const["rho_min"] = float(const["c"]), float(const["rho_min"])
     return _validate(Params(
-        n=n, k=k, lam=lam, L=L, c=float(c), epsilon=epsilon,
-        repetitions=repetitions, interval_count=interval_count,
-        interval_width=interval_width, rho_min=float(rho_min),
-        rho_max=float(rho_max), max_level=max_level, mode=MODE_PRACTICAL))
+        n=n, k=k, lam=lam, epsilon=epsilon,
+        rho_max=const["rho_min"] + 1.0
+        + const["interval_count"] * const["interval_width"],
+        max_level=max(1, math.ceil(math.log(n, k))), mode=mode, **const))

@@ -37,8 +37,13 @@ def _with_hopset(g: Graph, h: EdgeSet) -> Tuple[EdgeArrays, EdgeArrays]:
 
     Parallel edges are kept: a round keeps the lighter candidate, and
     fl(d + min(a, b)) = min(fl(d + a), fl(d + b)), so no min-merge is
-    needed.
+    needed.  ValueError ("weight range overflows a float") when g's path
+    lengths may: (n - 1) times its heaviest weight must be finite, or a
+    reachable pair could read as unreachable.
     """
+    if not (g.n - 1) * g.max_weight < INF:
+        raise ValueError(f"weight range overflows a float: (n - 1) * "
+                         f"heaviest weight = {g.n - 1} * {g.max_weight!r}")
     hu, hv, hw = check_edges(g.n, *h.arrays())
     a, b, w = concat_arrays(g.edge_arrays(), (hu, hv, hw))
     return (hu, hv, hw), to_csr(g.n, b, a, w)
@@ -174,7 +179,8 @@ def check_hopset(g: Graph, h: EdgeSet, beta: int, epsilon: float,
     exact distance.  Ratios against (1 + epsilon) (or ``ratio_bound``)
     are recorded; a pair at distance 0 needs beta-hop distance 0.  Raises
     ValueError for arguments ``check_claim`` rejects, a hopset endpoint
-    outside [0, n) or a hopset weight that is not finite and >= 0.
+    outside [0, n), a hopset weight that is not finite and >= 0, or a
+    graph whose path lengths may overflow a float (``_with_hopset``).
     """
     check_claim(beta, epsilon, ratio_bound)
     (hu, hv, hw), rcsr = _with_hopset(g, h)

@@ -7,6 +7,10 @@ of ``r.json`` (the check's report with its per-level counters), of the
 hopset read back from the file, of ``measure_hopbound`` over sampled
 pairs and of the frame trace (``Instrumentation(record_frames=True)``).
 The two benchmark workloads' drivers run on three inputs each as well.
+Lines that start with "cli" build through ``cli.main build`` from a
+config file, with flags over it (``--repetitions``,
+``--shortcut-levels``, ``--scale-range`` and others), and digest the
+exit code, the hopset file, its sidecar and ``r.json``.
 
 Run it from a checkout; it imports the package from that checkout's
 ``src``, or from ``--src DIR``:
@@ -20,6 +24,7 @@ script, and exits 1 after naming each line that differs, 0 if none do.
 Not collected by pytest.
 """
 import argparse
+import contextlib
 import hashlib
 import io
 import os
@@ -36,6 +41,7 @@ SRC = (sys.argv[sys.argv.index("--src") + 1] if "--src" in sys.argv[:-1]
        else os.path.join(ROOT, "src"))
 sys.path.insert(0, SRC)
 
+from dirhopset import cli
 from dirhopset.experiment import (ExperimentConfig, read_hopset,
                                   run_experiment)
 from dirhopset.generate import generate
@@ -107,6 +113,23 @@ def digest(tmp: str, g: Graph, driver: str, seed: int, epsilon: float,
         sha(repr(instr.frames) + repr(instr.per_level))])
 
 
+def cli_digest(tmp: str, g: Graph, driver: str, config: str,
+               flags: list) -> str:
+    """The exit code and the digests of the hopset file, its sidecar and
+    ``r.json`` of ``dirhopset build --config`` with ``config`` (the
+    file's text, JSON or key=value lines) and ``flags``."""
+    graph, cfg = os.path.join(tmp, "g.txt"), os.path.join(tmp, "cfg")
+    out, report = os.path.join(tmp, "h.txt"), os.path.join(tmp, "r.json")
+    save_graph(g, graph)
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.write(config.replace("GRAPH", graph))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["build", "--config", cfg, "--algorithm", driver,
+                         "--out", out, "--report", report] + flags)
+    return " ".join([str(code), sha(read(out)), sha(read(out + ".json")),
+                     sha(read(report))])
+
+
 def digests() -> None:
     """Print the digest line of every case."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -124,6 +147,28 @@ def digests() -> None:
                                       0.5 if driver == "parallel" else 0.0,
                                       {"L": L})
                         print(family, seed, driver, L, line, flush=True)
+        configs = [  # settings from a config file, flags over them
+            ('{"graph_path": "GRAPH", "mode": "practical", "lam": 1, '
+             '"epsilon": 0.5, "verify": "sampled:8", "ratio_bound": 4.0, '
+             '"delta": 0.2, "beta": 4.0, "sweeps": 2, '
+             '"overrides": {"L": 2, "c": 0.5, "interval_count": 3}}',
+             ["--repetitions", "2", "--shortcut-levels", "1",
+              "--scale-range", "0:5"]),
+            ("graph_path = GRAPH\nmode = practical\nlam = 1\n"
+             "epsilon = 0.5\nratio_bound = 4.0\nscale_range = [1, 4]\n"
+             "beta = 4.0\nsweeps = 1\n",
+             ["--shortcut-levels", "0", "--seed", "2"]),
+            ('{"graph_path": "GRAPH", "lam": 1, "epsilon": 0.5, '
+             '"ratio_bound": 4.0, "beta": 4.0, "sweeps": 2}',
+             ["--repetitions", "3", "--scale-range", "2:3", "--delta",
+              "0.25", "--verify", "sampled:4"])]
+        for family in ("grid", "layered-dag"):
+            for driver in DRIVERS:
+                g = generate(family, N, 2 * N if family == "layered-dag"
+                             else None, 1 if driver == "unweighted" else 8, 1)
+                for i, (config, flags) in enumerate(configs):
+                    print("cli", family, driver, i, cli_digest(
+                        tmp, g, driver, config, flags), flush=True)
         for seed in SEEDS:  # the benchmark's workloads, n as run there
             g = generate("random-gnm", 192, 3 * 192, 8, 11000 + seed)
             print("exact-gnm", seed, digest(tmp, g, "weighted", seed, 0.0,

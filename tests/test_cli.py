@@ -1,10 +1,11 @@
 import contextlib
 import io
 import json
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dirhopset import cli
 from dirhopset.experiment import (ExperimentConfig, ExperimentError,
@@ -12,7 +13,7 @@ from dirhopset.experiment import (ExperimentConfig, ExperimentError,
 from dirhopset.graph import EdgeSet, Graph, load_graph, save_graph
 from dirhopset.hopset import hopset_unweighted, hopset_weighted
 from dirhopset.parallel import phopset
-from dirhopset.params import derive_params
+from dirhopset.params import OVERRIDES, derive_params
 
 
 class TestGen:
@@ -64,6 +65,16 @@ class TestBuildVerify:
                   "--mode", "practical", "--lambda", "1", "--out", out])
         assert cli.main(["verify", "--graph", graph, "--hopset", out,
                          "--epsilon", "0"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "path", "--n", "1"],
+        ["--family", "path", "--n", "5", "--k", "1", "--lambda", "0"],
+        ["--family", "path", "--n", "5", "--mode", "paper",
+         "--shortcut-levels", "3"]])
+    def test_verify_derives_no_build_params(self, tmp_path, argv):
+        hopset = tmp_path / "h.txt"
+        hopset.write_text("")
+        assert cli.main(["verify", "--hopset", str(hopset)] + argv) == 0
 
     def test_corrupted_hopset_rejected(self, tmp_path):
         graph = str(tmp_path / "g.txt")
@@ -205,6 +216,24 @@ class TestConfig:
         cfg.write_text(json.dumps({"family": "path", "n": 8, "bogus": 1}))
         assert cli.main(["build", "--config", str(cfg)]) == 2
 
+    def test_flags_over_config_overrides(self, tmp_path):
+        # each flag lands in the field or override named by its dest,
+        # over the config file's value; the file's other overrides stay
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "family": "path", "n": 8, "lam": 1, "seed": 4,
+            "algorithm": "weighted", "overrides": {"L": 3, "c": 0.5}}))
+        out = str(tmp_path / "h.txt")
+        assert cli.main(["build", "--config", str(cfg), "--shortcut-levels",
+                         "1", "--repetitions", "2", "--scale-range", "1:3",
+                         "--seed", "5", "--out", out]) == 0
+        sidecar = json.loads(open(out + ".json").read())
+        assert {k: sidecar["params"][k] for k in ("L", "c", "repetitions",
+                                                  "lam")} == \
+            {"L": 1, "c": 0.5, "repetitions": 2, "lam": 1}
+        assert sidecar["scale_range"] == [1, 3] and sidecar["seed"] == 5
+        assert sidecar["algorithm"] == "weighted"
+
 
 class TestRunExperiment:
     def test_trace_counters_present(self):
@@ -309,6 +338,17 @@ class TestMalformedInput:
         self.expect_error(capsys, ["build", "--config", str(cfg)],
                           "config:")
 
+    @pytest.mark.parametrize("overrides, fragment", [
+        ('{"c": NaN}', "params: c must be finite"),
+        ('{"interval_count": 0}', "params: interval_count must be >= 1"),
+        ('{"rho_min": Infinity}', "params: need 1 < rho_min")])
+    def test_config_value_without_meaning(self, tmp_path, capsys, overrides,
+                                          fragment):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"family": "path", "n": 8, "overrides": %s}'
+                       % overrides)
+        self.expect_error(capsys, ["build", "--config", str(cfg)], fragment)
+
     def test_config_values_of_right_type(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -369,12 +409,34 @@ class TestMalformedInput:
         (["build", "--graph", "{tiny}", "--algorithm", "weighted"],
          "build: weight range overflows a float"),
         (["build", "--graph", "{tiny}", "--algorithm", "parallel",
-          "--epsilon", "0.5"], "build: weight range overflows a float")])
+          "--epsilon", "0.5"], "build: weight range overflows a float"),
+        (["build", "--graph", "{huge}", "--algorithm", "weighted"],
+         "build: weight range overflows a float"),
+        (["build", "--graph", "{huge}", "--algorithm", "parallel",
+          "--epsilon", "0.5"], "build: weight range overflows a float"),
+        (["verify", "--graph", "{huge}", "--hopset", "{empty}"],
+         "verify: weight range overflows a float"),
+        (["build", "--family", "path", "--n", "8", "--algorithm",
+          "weighted", "--scale-range", "0:1100"],
+         "build: weight range overflows a float"),
+        (["build", "--family", "path", "--n", "8", "--mode", "paper",
+          "--shortcut-levels", "3"], "params: paper mode derives ['L']"),
+        (["build", "--family", "path", "--n", "8", "--repetitions", "-3"],
+         "params: repetitions must be >= 1"),
+        (["build", "--graph", "{negative}"], "graph: {negative}:1: n must "
+                                             "be >= 0")])
     def test_malformed_flag(self, tmp_path, capsys, argv, fragment):
         # exit 2, one JSON object on stderr, no traceback
-        files = {"h": tmp_path / "h.txt", "tiny": tmp_path / "g.txt"}
+        files = {"h": tmp_path / "h.txt", "tiny": tmp_path / "g.txt",
+                 "huge": tmp_path / "huge.txt", "empty": tmp_path / "e.txt",
+                 "negative": tmp_path / "n.txt"}
         files["h"].write_text("0 7 100.0\n")
         files["tiny"].write_text("3 2\n0 1 5e-324\n1 2 1.0\n")
+        # 1e308 + 1e308 overflows: the path 0 -> 1 -> 2 has no float length
+        files["huge"].write_text("3 2\n0 1 1e308\n1 2 1e308\n")
+        files["empty"].write_text("")
+        files["negative"].write_text("-3 0\n")
+        fragment = fragment.format(**files)
         argv = [a.format(**files) for a in argv]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
@@ -484,3 +546,137 @@ class TestFuzzHopsetFile:
                         "--hopset", str(hopset)]) == (0, "")
         pairs = {tuple(line.split()[:2]) for line in lines}
         assert len(read_hopset(str(hopset))) == len(pairs)
+
+
+def exits_cleanly(argv) -> None:
+    """Run ``cli.main(argv)``: it must exit 0, 1 or 2 with no traceback
+    on stderr, and on 2 print one JSON object with an "error" there."""
+    code, err = run_cli(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert len(err.splitlines()) == 1
+        assert list(json.loads(err)) == ["error"]
+
+
+# weights a graph file may hold; the drivers refuse two 1e308 edges in
+# a row, and 5e-324 beside 1 as a range
+WEIGHTS = ["1", "2.5", "0", "-0.0", "1e308", "5e-324"]
+BUILDS = [["build", "--algorithm", "unweighted"],
+          ["build", "--algorithm", "weighted"],
+          ["build", "--algorithm", "parallel", "--epsilon", "0.5"]]
+VERIFY = ["verify", "--hopset", "{empty}"]
+
+
+@st.composite
+def graph_files(draw):
+    """A graph file of at most 8 vertices as bytes, with at most one
+    fault: a bad header, id, column count, weight or edge count, or a
+    non-UTF-8 byte.  Its good weights include 1e308 and 5e-324."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    weight = st.sampled_from([""] + WEIGHTS)  # "": the default weight 1
+    lines = [f"{draw(vertex)} {draw(vertex)} {draw(weight)}".strip()
+             for _ in range(draw(st.integers(0, 6)))]
+    header = f"{n} {len(lines)}"
+    fault = draw(st.sampled_from([None, None, None, "header", "id", "columns",
+                                  "weight", "count", "bytes"]))
+    if fault == "header":
+        header = draw(st.sampled_from([f"{n}", f"{n} {len(lines)} 1",
+                                       f"x {len(lines)}", f"-{n} 0",
+                                       f"{2 ** 70} 0", f"{n} 1.5"]))
+    elif fault == "count":
+        header = f"{n} {len(lines) + draw(st.sampled_from([1, -1]))}"
+    elif lines and fault in ("id", "columns", "weight"):
+        at = draw(st.integers(0, len(lines) - 1))
+        cols = (lines[at].split() + ["1"])[:3]
+        if fault == "id":
+            cols[draw(st.integers(0, 1))] = str(draw(st.sampled_from(
+                [-1, n, 2 ** 70, "x"])))
+        elif fault == "weight":
+            cols[2] = draw(st.sampled_from(["nan", "inf", "-1", "w"]))
+        else:
+            cols = cols[:1] if draw(st.booleans()) else cols + ["7"]
+        lines[at] = " ".join(cols)
+    data = "\n".join([header] + lines).encode() + b"\n"
+    if fault == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3\x28"])) \
+            + data[at:]
+    return data
+
+
+GOOD = {  # config values that run a build of at most 8 vertices
+    "family": ["path", "grid", "random-gnm", "layered-dag"],
+    "n": [2, 5, 8], "max_weight": [1, 4], "seed": [0, 3],
+    "mode": ["practical", "paper"], "epsilon": [0, 0.5], "k": [2, 3],
+    "lam": [1, 2], "algorithm": ["unweighted", "weighted", "parallel"],
+    "delta": [0.05, 0.2], "beta": [None, 4.0], "sweeps": [None, 1, 2],
+    "scale_range": [None, [0, 3]], "verify": ["all-pairs", "sampled:2"],
+    "verify_beta": [None, 1, 3], "ratio_bound": [None, 2.0]}
+GOOD_OVERRIDES = {"L": [0, 1, 3], "c": [0, 0.5], "repetitions": [1, 2],
+                  "interval_count": [1, 3], "interval_width": [2, 3],
+                  "rho_min": [2.0, 3]}
+BAD = ["x", [1], {}, True, 1.5, math.nan, math.inf, -math.inf, 1e308,
+       -1e308, -1, 0, None]
+
+
+@st.composite
+def configs(draw):
+    """A config's JSON text (NaN and Infinity allowed) for a graph of at
+    most 8 vertices, with up to two faults: a value of the wrong type,
+    non-finite or out of range, at the top or in ``overrides``; an
+    unknown key or override; or overrides in paper mode."""
+    def pick(table):
+        keys = draw(st.lists(st.sampled_from(sorted(table)), unique=True,
+                             max_size=len(table)))
+        return {key: draw(st.sampled_from(table[key])) for key in keys}
+
+    cfg = {"n": 6, **pick(GOOD)}
+    overrides = cfg["overrides"] = pick(GOOD_OVERRIDES)
+    for fault in draw(st.lists(st.sampled_from(
+            ["value", "override", "key", "unknown override", "paper"]),
+            max_size=2)):
+        if fault == "value":
+            cfg[draw(st.sampled_from(sorted(GOOD)))] = draw(
+                st.sampled_from(BAD))
+        elif fault == "override":
+            overrides[draw(st.sampled_from(OVERRIDES))] = draw(
+                st.sampled_from(BAD))
+        elif fault == "key":
+            cfg[draw(st.sampled_from(["bogus", "rho_max", "L"]))] = 1
+        elif fault == "unknown override":
+            overrides[draw(st.sampled_from(["rho_max", "Lx"]))] = 8.0
+        else:
+            cfg["mode"] = "paper"
+            overrides.setdefault("L", 1)
+    return json.dumps(cfg)
+
+
+class TestFuzzGraphFileAndConfig:
+    """Generated graph files and configs through ``cli.main``: every run
+    exits 0, 1 or 2, and exit 2 prints one JSON object on stderr."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph_files(), st.sampled_from(BUILDS + [VERIFY]))
+    @example(b"3 2\n0 1 1e308\n1 2 1e308\n", BUILDS[1])
+    @example(b"3 2\n0 1 1e308\n1 2 1e308\n", BUILDS[2])
+    @example(b"3 2\n0 1 1e308\n1 2 1e308\n", VERIFY)
+    def test_graph_file(self, tmp_path_factory, data, command):
+        tmp = tmp_path_factory.mktemp("graph")
+        files = {"empty": tmp / "e.txt"}
+        files["empty"].write_text("")
+        (tmp / "g.txt").write_bytes(data)
+        exits_cleanly([a.format(**files) for a in command]
+                      + ["--graph", str(tmp / "g.txt")])
+
+    @settings(max_examples=60, deadline=None)
+    @given(configs(), st.sampled_from([["build"], VERIFY]))
+    @example('{"n": 6, "overrides": {"c": NaN}}', ["build"])
+    @example('{"n": 6, "mode": "paper", "overrides": {"L": 1}}', ["build"])
+    def test_config(self, tmp_path_factory, text, command):
+        tmp = tmp_path_factory.mktemp("config")
+        files = {"empty": tmp / "e.txt"}
+        files["empty"].write_text("")
+        (tmp / "cfg.json").write_text(text)
+        exits_cleanly([a.format(**files) for a in command]
+                      + ["--config", str(tmp / "cfg.json")])

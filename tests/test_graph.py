@@ -5,7 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dirhopset.experiment import read_hopset, write_hopset
 from dirhopset.graph import (EdgeSet, Graph, GraphFormatError, augment,
@@ -437,6 +437,7 @@ class TestEdgeSet:
         with pytest.raises(ValueError, match="out of range"):
             check_edges(4, *h.arrays())
 
+    @settings(deadline=None)  # writes and reads temp files
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
                               st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
                                         st.floats(0, 1e6))), max_size=10))

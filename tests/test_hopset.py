@@ -12,6 +12,7 @@ from dirhopset.hopset import (Instrumentation, RecursionFrame, ShortcutSink,
                               hopset_unweighted, hopset_weighted, hs_recurse)
 from dirhopset.parallel import phopset
 from dirhopset.params import derive_params
+from dirhopset.verify import check_hopset, measure_hopbound
 
 from oracles import dijkstra, edge_dict, graph_reference, random_edges
 from trace_checks import verify_frames
@@ -229,6 +230,30 @@ class TestDrivers:
         g = Graph(3, [(0, 1, 5e-324), (1, 2, 1.0)])
         with pytest.raises(ValueError, match="weight range overflows"):
             build(g)
+
+    @pytest.mark.parametrize("run", [
+        lambda g: hopset_weighted(g, practical(3)),
+        lambda g: hopset_weighted(g, practical(3), scale_range=(0, 2)),
+        lambda g: phopset(g, practical(3), 0.2, beta=4.0),
+        lambda g: phopset(g, practical(3), 0.2, beta=4.0,
+                          scale_range=(0, 2)),
+        lambda g: check_hopset(g, EdgeSet(), 2, 0.0),
+        lambda g: measure_hopbound(g, EdgeSet(), 0.0, [(0, 2)])],
+        ids=["weighted", "weighted-range", "parallel", "parallel-range",
+             "check", "hopbound"])
+    def test_path_length_overflow_named(self, run):
+        # 1e308 + 1e308 is inf: the path 0 -> 1 -> 2 has no float length
+        g = Graph(3, [(0, 1, 1e308), (1, 2, 1e308)])
+        with pytest.raises(ValueError, match="weight range overflows"):
+            run(g)
+
+    def test_scale_overflow_named(self):
+        g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        for hi in (1023, 5000):  # the top scale searches to 2^(hi + 1)
+            with pytest.raises(ValueError, match="weight range overflows"):
+                hopset_weighted(g, practical(3), scale_range=(0, hi))
+        assert len(hopset_weighted(g, practical(3),
+                                   scale_range=(1021, 1022))) == 1
 
     @pytest.mark.parametrize("build", [
         lambda g: hopset_weighted(g, practical(g.n), 1),

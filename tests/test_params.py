@@ -1,8 +1,10 @@
 import math
+import re
 
 import pytest
 
-from dirhopset.params import MODE_PAPER, MODE_PRACTICAL, derive_params
+from dirhopset.params import (MODE_PAPER, MODE_PRACTICAL, OVERRIDES,
+                              PRACTICAL, derive_params)
 from dirhopset.parallel import derive_parallel_params
 
 
@@ -38,6 +40,19 @@ class TestPaperMode:
             span = p.rho_max - (p.rho_min + 1)
             assert abs(span - p.interval_count * p.interval_width) < 1e-9
 
+    def test_only_repetitions_overridable(self):
+        p = derive_params(1024, 1.0, k=2, lam=8, mode=MODE_PAPER,
+                          repetitions=3)
+        assert p.repetitions == 3 and p.L == 15
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            derive_params(1024, 1.0, k=2, lam=8, mode=MODE_PAPER,
+                          repetitions=0)
+        for key in set(OVERRIDES) - {"repetitions"}:
+            with pytest.raises(ValueError, match=rf"paper mode derives "
+                                                 rf"\['{key}'\]"):
+                derive_params(1024, 1.0, k=2, lam=8, mode=MODE_PAPER,
+                              **{key: PRACTICAL[key]})
+
     def test_max_level(self):
         p = derive_params(1024, 1.0, k=2, lam=8, mode=MODE_PAPER)
         assert p.max_level == 10
@@ -57,10 +72,15 @@ class TestPracticalMode:
         assert p.L == 0 and p.c == 2.0
         assert p.rho_max == 2.0 + 1.0 + 12.0
 
+    def test_one_table_of_defaults(self):
+        assert OVERRIDES == tuple(PRACTICAL) and len(OVERRIDES) == 6
+        p = derive_params(64, 0.5, k=2, lam=1, mode=MODE_PRACTICAL)
+        assert {key: getattr(p, key) for key in OVERRIDES} == PRACTICAL
+
     def test_rejects_bad_rho_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need 1 < rho_min"):
             derive_params(64, 0.5, k=2, lam=1, mode=MODE_PRACTICAL,
-                          rho_min=9.0, rho_max=4.0)
+                          rho_min=1.0)
 
     def test_rejects_narrow_width(self):
         with pytest.raises(ValueError):
@@ -68,9 +88,29 @@ class TestPracticalMode:
                           interval_width=1)
 
     def test_rejects_span_mismatch(self):
-        with pytest.raises(ValueError):
+        # rho_max is derived from the span, so it cannot be given
+        with pytest.raises(ValueError,
+                           match=r"unknown overrides \['rho_max'\]"):
             derive_params(64, 0.5, k=2, lam=1, mode=MODE_PRACTICAL,
                           rho_min=3.0, rho_max=100.0)
+
+    @pytest.mark.parametrize("key, value, fragment", [
+        ("c", math.nan, "c must be finite"),
+        ("c", math.inf, "c must be finite"),
+        ("c", -math.inf, "c must be finite"),
+        ("c", -1e300, "c must be finite"),  # k^-c overflows
+        ("interval_count", 0, "interval_count must be >= 1"),
+        ("interval_count", -2, "interval_count must be >= 1"),
+        ("repetitions", 0, "repetitions must be >= 1"),
+        ("repetitions", -3, "repetitions must be >= 1"),
+        ("rho_min", math.nan, "need 1 < rho_min"),
+        ("rho_min", math.inf, "need 1 < rho_min"),
+        ("rho_min", 1e308, "rho_max <= 2^53"),  # no integer radii left
+        ("interval_width", 2 ** 53, "rho_max <= 2^53")])
+    def test_rejects_meaningless_values(self, key, value, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            derive_params(64, 0.5, k=2, lam=1, mode=MODE_PRACTICAL,
+                          **{key: value})
 
     @pytest.mark.parametrize("mode", [MODE_PRACTICAL, MODE_PAPER])
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.5])
