@@ -25,7 +25,7 @@ def _load_config_file(path: str) -> dict:
     if stripped.startswith("{"):
         try:
             return json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer of over 4300 digits
             raise ExperimentError(f"config: {path}: {exc}") from exc
     data = {}
     for line in text.splitlines():
@@ -37,7 +37,7 @@ def _load_config_file(path: str) -> dict:
         value = value.strip()
         try:
             data[key] = json.loads(value)
-        except json.JSONDecodeError:
+        except ValueError:
             data[key] = value
     return data
 
@@ -89,10 +89,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ExperimentError(
                 f"config: --scale-range must be 'lo:hi', got {sr!r}"
             ) from None
-    cfg = ExperimentConfig.from_dict(data)
-    cfg.overrides = {**cfg.overrides,
-                     **{k: v for k, v in flags.items() if k in OVERRIDES}}
-    return cfg
+    given = {k: v for k, v in flags.items() if k in OVERRIDES}
+    if given and isinstance(data.get("overrides", {}), dict):
+        data["overrides"] = {**data.get("overrides", {}), **given}
+    return ExperimentConfig.from_dict(data)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

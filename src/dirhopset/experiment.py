@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import time
 import typing
 from dataclasses import dataclass, field, asdict
@@ -62,16 +63,14 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """ExperimentError for an unknown key or a value of the wrong
         type, also in ``overrides`` (an int passes for a float, a bool
-        for neither; its keys must be in ``params.OVERRIDES``)."""
+        for neither; its keys must be in ``params.OVERRIDES``), or an
+        integer too large for a float (``_check_value``)."""
         hints = typing.get_type_hints(cls)
         unknown = set(data) - set(hints)
         if unknown:
             raise ExperimentError(f"config: unknown keys {sorted(unknown)}")
         for key, value in data.items():
-            if not _has_type(value, hints[key]):
-                raise ExperimentError(
-                    f"config: {key} must be {_type_name(hints[key])}, "
-                    f"got {value!r}")
+            _check_value(key, value, hints[key])
         overrides = data.get("overrides", {})
         unknown = set(overrides) - set(OVERRIDES)
         if unknown:
@@ -79,11 +78,7 @@ class ExperimentConfig:
                 f"config: unknown overrides {sorted(unknown)}")
         param_hints = typing.get_type_hints(Params)
         for key, value in overrides.items():
-            hint = param_hints[key]
-            if not _has_type(value, hint):
-                raise ExperimentError(
-                    f"config: overrides.{key} must be {_type_name(hint)}, "
-                    f"got {value!r}")
+            _check_value(f"overrides.{key}", value, param_hints[key])
         cfg = cls(**data)
         if cfg.scale_range is not None:
             cfg.scale_range = tuple(cfg.scale_range)  # type: ignore[assignment]
@@ -94,6 +89,20 @@ class ExperimentConfig:
         if d.get("scale_range") is not None:
             d["scale_range"] = list(d["scale_range"])
         return d
+
+
+def _check_value(name: str, value, hint) -> None:
+    """ExperimentError unless ``value`` has the type ``hint`` and each
+    integer in it converts to a float: every number in a run meets float
+    arithmetic."""
+    if not _has_type(value, hint):
+        raise ExperimentError(
+            f"config: {name} must be {_type_name(hint)}, got {value!r}")
+    for x in value if isinstance(value, (list, tuple)) else (value,):
+        if isinstance(x, int) and not abs(x) <= sys.float_info.max:
+            raise ExperimentError(
+                f"config: {name} must be at most {sys.float_info.max!r} "
+                f"in magnitude, got an integer of {x.bit_length()} bits")
 
 
 def _has_type(value, hint) -> bool:
@@ -179,7 +188,7 @@ def run_experiment(cfg: ExperimentConfig
             params = derive_params(g.n, cfg.epsilon, cfg.k, cfg.lam,
                                    cfg.mode, **cfg.overrides)
             if cfg.algorithm == "parallel":
-                check_rounding(cfg.delta, cfg.beta)
+                check_rounding(cfg.delta, cfg.beta, cfg.sweeps)
         except ValueError as exc:
             raise ExperimentError(f"params: {exc}") from exc
         t0 = time.perf_counter()

@@ -13,10 +13,14 @@ single mutable accumulator of hopset edges.  ``merge_min_arrays`` is
 the one min-merge; ``to_csr`` groups edges for ``Graph.csr`` and the
 verifier's G + H;
 ``Graph.lighter`` joins pairs against a graph's edges; ``read_edges``
-and ``write_edges`` are the graph and hopset file codec.
+and ``write_edges`` are the graph and hopset file codec.  ``read_edges``
+parses with numpy's C parser and, where numpy refuses the text or a row
+breaks a rule, with the line loop that is its reference and that names
+the faulty line.
 """
 from __future__ import annotations
 
+import io
 import math
 from itertools import chain
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
@@ -330,10 +334,13 @@ def induce(g: Graph, subset: Iterable[int]) -> InducedSubgraph:
     return InducedSubgraph(g, subset)
 
 
+_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+
 def read_edges(path: str, header: bool = False
-               ) -> Tuple[Optional[int], Optional[int], Tuple[list, ...]]:
+               ) -> Tuple[Optional[int], Optional[int], EdgeArrays]:
     """Parse an edge-list file: (n, m) from a graph file's header, else
-    (None, None), and the lists (u, v, w) of the edges in file order.
+    (None, None), and the columns (u, v, w) of the edges in file order.
 
     Blank lines and lines starting with '#' are skipped.  A graph file
     (``header``) starts with "n m", 0 <= n < 2^63; each further
@@ -341,51 +348,106 @@ def read_edges(path: str, header: bool = False
     line of a hopset file is "u v w".  w must be finite and >= 0.
     GraphFormatError names the line that breaks these rules, or the
     graph file without a header.
+
+    The text is read once.  numpy's C parser (``_parse_rows``) reads
+    the lines after the header, and numpy checks the rows.  Where numpy
+    refuses the text (a '#' line after the header, a 2-column line, an
+    id beyond int64, a token ``int`` or ``float`` reads and numpy does
+    not) or a row breaks a rule, the line loop ``_parse_lines`` reads
+    the same text.  That loop is the reference: the rows numpy accepts
+    are the ones it reads, bit for bit, and each GraphFormatError the
+    caller sees is its own.
     """
-    n = m = None
-    us, vs, ws = edges = [], [], []
-    usage = "expected 'u v [w]'" if header else "expected 'u v w'"
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if header and n is None:
-                if len(parts) != 2:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: expected header 'n m'")
-                try:
-                    n, m = int(parts[0]), int(parts[1])
-                except ValueError as exc:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: bad header: {exc}") from exc
-                if not -2 ** 63 <= n < 2 ** 63:  # then ids fit too
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: n does not fit in 64 bits")
-                if n < 0:
-                    raise GraphFormatError(f"{path}:{lineno}: n must be >= 0")
-                continue
-            if len(parts) != 3 and not (header and len(parts) == 2):
-                raise GraphFormatError(f"{path}:{lineno}: {usage}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: bad edge: {exc}") from exc
-            if not 0 <= w < math.inf:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: weight must be finite and >= 0: {w}")
-            if header and not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(
-                    f"{path}:{lineno}: vertex id out of range [0,{n})")
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
+        text = fh.read()
+    try:
+        return _parse_rows(path, text, header)
+    except ValueError:  # numpy refused the text, or a row breaks a rule
+        return _parse_lines(path, text, header)
+
+
+def _records(lines: Iterable[str]) -> Iterator[Tuple[int, List[str]]]:
+    """(line number, fields) of each line that is not blank or a '#'
+    comment."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line.split()
+
+
+def _parse_header(path: str, lineno: int,
+                  parts: List[str]) -> Tuple[int, int]:
+    """(n, m) from the fields of a graph file's header line."""
+    if len(parts) != 2:
+        raise GraphFormatError(f"{path}:{lineno}: expected header 'n m'")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise GraphFormatError(
+            f"{path}:{lineno}: bad header: {exc}") from exc
+    if not -2 ** 63 <= n < 2 ** 63:  # then ids fit too
+        raise GraphFormatError(f"{path}:{lineno}: n does not fit in 64 bits")
+    if n < 0:
+        raise GraphFormatError(f"{path}:{lineno}: n must be >= 0")
+    return n, m
+
+
+def _parse_rows(path: str, text: str, header: bool
+                ) -> Tuple[Optional[int], Optional[int], EdgeArrays]:
+    """``_parse_lines`` by ``np.loadtxt``; ValueError unless each line
+    after the header is blank or "u v w" with int64 ids, in [0, n) in a
+    graph file, and w finite and >= 0."""
+    n = m = None
+    lines = io.StringIO(text)
+    if header:
+        for lineno, parts in _records(lines):
+            n, m = _parse_header(path, lineno, parts)
+            break
+        else:
+            raise ValueError("no header")
+    body = text[lines.tell():] if header else text
+    rows = (np.loadtxt(lines, _ROW, comments=None, ndmin=1)
+            if body and not body.isspace() else np.empty(0, _ROW))
+    u, v, w = rows["u"], rows["v"], rows["w"]
+    bad = ~((w >= 0) & (w < math.inf))
+    if header:
+        bad |= (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        raise ValueError("a row breaks a rule")
+    return n, m, (u, v, w)
+
+
+def _parse_lines(path: str, text: str, header: bool
+                 ) -> Tuple[Optional[int], Optional[int], EdgeArrays]:
+    """``read_edges``' result for the file ``path`` of text ``text``, a
+    line at a time with ``int`` and ``float``."""
+    n = m = None
+    us, vs, ws = [], [], []
+    usage = "expected 'u v [w]'" if header else "expected 'u v w'"
+    for lineno, parts in _records(io.StringIO(text)):
+        if header and n is None:
+            n, m = _parse_header(path, lineno, parts)
+            continue
+        if len(parts) != 3 and not (header and len(parts) == 2):
+            raise GraphFormatError(f"{path}:{lineno}: {usage}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError as exc:
+            raise GraphFormatError(
+                f"{path}:{lineno}: bad edge: {exc}") from exc
+        if not 0 <= w < math.inf:
+            raise GraphFormatError(
+                f"{path}:{lineno}: weight must be finite and >= 0: {w}")
+        if header and not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(
+                f"{path}:{lineno}: vertex id out of range [0,{n})")
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
     if header and n is None:
         raise GraphFormatError(f"{path}: empty file")
-    return n, m, edges
+    return n, m, _columns(us, vs, ws)
 
 
 def write_edges(fh: TextIO, edges: Iterable[Edge],

@@ -79,10 +79,14 @@ def default_beta(params: Params) -> float:
     return _paper_beta(params.n, params.k, params.lam)
 
 
-def check_rounding(delta: float, beta: Optional[float]) -> None:
+def check_rounding(delta: float, beta: Optional[float],
+                   sweeps: Optional[int] = None) -> None:
     """ValueError unless delta and beta (None: the default) are finite
-    and > 0, and the shortcut radius 8(1 + delta)beta/delta, which also
-    bounds every quantized weight, is finite."""
+    and > 0, the shortcut radius 8(1 + delta)beta/delta, which also
+    bounds every quantized weight, is finite, and sweeps (None: the
+    default) is >= 1."""
+    if sweeps is not None and sweeps < 1:
+        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be finite and > 0, got {delta}")
     if beta is None:
@@ -107,13 +111,13 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
     parallels is left out.  A given ``scale_range`` (inclusive
     distance-scale exponents) is in the units of ``normalize_weights(g)``,
     the graph ``gs`` the build runs on.  ValueError as in
-    ``normalize_weights`` and ``check_scales``.
+    ``normalize_weights``, ``check_rounding`` and ``check_scales``.
     """
     gs, s = normalize_weights(g)
     n = g.n
     if beta is None:
         beta = default_beta(params)
-    check_rounding(delta, beta)
+    check_rounding(delta, beta, sweeps)
     if sweeps is None:
         sweeps = math.ceil(params.lam * params.log_n ** 2) \
             if params.mode == MODE_PAPER else params.repetitions

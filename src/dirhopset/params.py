@@ -106,8 +106,10 @@ def derive_params(n: int, epsilon: float, k: int = 2, lam: int = 8,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     const["c"], const["rho_min"] = float(const["c"]), float(const["rho_min"])
+    # a span beyond the floats gives rho_max = inf, which _validate refuses
+    span = const["interval_count"] * const["interval_width"]
     return _validate(Params(
         n=n, k=k, lam=lam, epsilon=epsilon,
         rho_max=const["rho_min"] + 1.0
-        + const["interval_count"] * const["interval_width"],
+        + (span if abs(span) <= sys.float_info.max else math.inf),
         max_level=max(1, math.ceil(math.log(n, k))), mode=mode, **const))

@@ -315,7 +315,10 @@ class TestMalformedInput:
                                    "--algorithm", "parallel",
                                    "--epsilon", "0.5"] + flags, "params:")
 
-    @pytest.mark.parametrize("text", ["{bad json", None])
+    @pytest.mark.parametrize("text", [
+        "{bad json", None,
+        pytest.param('{"k": 1%s}' % ("0" * 5000), id="json-int-5001-digits"),
+        pytest.param("k = 1%s\n" % ("0" * 5000), id="key-int-5001-digits")])
     def test_bad_config_file(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
         if text is not None:
@@ -341,7 +344,14 @@ class TestMalformedInput:
     @pytest.mark.parametrize("overrides, fragment", [
         ('{"c": NaN}', "params: c must be finite"),
         ('{"interval_count": 0}', "params: interval_count must be >= 1"),
-        ('{"rho_min": Infinity}', "params: need 1 < rho_min")])
+        ('{"rho_min": Infinity}', "params: need 1 < rho_min"),
+        pytest.param('{"interval_width": 1%s}' % ("0" * 399),
+                     "config: overrides.interval_width must be at most",
+                     id="interval_width-400-digits"),
+        pytest.param('{"interval_count": 1%s, "interval_width": 1%s}'
+                     % ("0" * 200, "0" * 200),
+                     "params: need 1 < rho_min and rho_max <= 2^53",
+                     id="interval-span-401-digits")])
     def test_config_value_without_meaning(self, tmp_path, capsys, overrides,
                                           fragment):
         cfg = tmp_path / "cfg.json"
@@ -424,7 +434,18 @@ class TestMalformedInput:
         (["build", "--family", "path", "--n", "8", "--repetitions", "-3"],
          "params: repetitions must be >= 1"),
         (["build", "--graph", "{negative}"], "graph: {negative}:1: n must "
-                                             "be >= 0")])
+                                             "be >= 0"),
+        (["build", "--family", "path", "--n", "8", "--algorithm", "parallel",
+          "--epsilon", "0.5", "--sweeps", "-1"],
+         "params: sweeps must be >= 1"),
+        (["build", "--family", "path", "--n", "8", "--algorithm", "parallel",
+          "--epsilon", "0.5", "--sweeps", "0"],
+         "params: sweeps must be >= 1"),
+        (["build", "--family", "path", "--n", "8", "--k", "9" * 340],
+         "config: k must be at most 1.7976931348623157e+308 in "
+         "magnitude, got an integer of 1130 bits"),
+        (["build", "--family", "path", "--n", "8", "--repetitions",
+          "9" * 340], "config: overrides.repetitions must be at most")])
     def test_malformed_flag(self, tmp_path, capsys, argv, fragment):
         # exit 2, one JSON object on stderr, no traceback
         files = {"h": tmp_path / "h.txt", "tiny": tmp_path / "g.txt",

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dirhopset.experiment import read_hopset, write_hopset
-from dirhopset.graph import (EdgeSet, Graph, GraphFormatError, augment,
-                             check_edges, cut_frames, induce, load_graph,
-                             merge_min, merge_min_arrays, save_graph)
+from dirhopset.graph import (EdgeSet, Graph, GraphFormatError, _parse_lines,
+                             augment, check_edges, cut_frames, induce,
+                             load_graph, merge_min, merge_min_arrays,
+                             read_edges, save_graph)
 from dirhopset.search import BACKWARD, bounded_search
 
 from oracles import (all_pairs, dijkstra, edge_dict, graph_reference,
@@ -98,6 +99,115 @@ class TestLoadGraph:
         save_graph(g, path)
         g2 = load_graph(path)
         assert sorted(g.iter_edges()) == sorted(g2.iter_edges())
+
+
+# tokens of edge-list lines: ids and weights that numpy's parser reads
+# as int and float do (some out of range in a file of n = 7), then ones
+# that it refuses
+ROW_IDS = ["0", "1", "5", "+1", "-0", "00", "-1", "7"]
+BAD_IDS = ["1_0", "٣", "２", "1.0", "0x1", str(2 ** 63),
+           str(2 ** 63 - 1), str(-2 ** 63), str(-2 ** 63 - 1)]
+ROW_WEIGHTS = ["1.0", "0.5", "0", "-0.0", "2", "+.5e-3", "1e-400",
+               "0.1000000000000000055511151231257827021181583404541015625",
+               "1e400", "nan", "-nan", "inf", "-inf", "Infinity", "-1"]
+BAD_WEIGHTS = ["1_0.5", "١.٥", "1e", "0x1p3"]
+SEPARATORS = [" ", "\t", "  ", "\x1c", "\xa0", "　", "\x0b", "\x00"]
+ODD_CHARS = "0123456789+-._eE#\t \x00\x1c\xa0　٣２nafi"
+
+
+@st.composite
+def edge_lines(draw, rows):
+    """One line of an edge-list file, without its line ending; if
+    ``rows``, a blank line or "u v w" that numpy's parser reads."""
+    kind = draw(st.sampled_from(
+        ["edge"] * 6 + ["blank"] if rows else
+        ["edge", "edge", "short", "long", "comment", "midline", "blank",
+         "odd"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["#", "# c", "  # indented", "#0 1 2"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t", "\xa0", "\x0c"]))
+    if kind == "odd":
+        return draw(st.text(st.sampled_from(ODD_CHARS), max_size=8))
+    ids, weights = ROW_IDS, ROW_WEIGHTS
+    if not rows:
+        ids, weights = ids + BAD_IDS, weights + BAD_WEIGHTS
+    ident = st.one_of(st.integers(0, 6).map(str), st.sampled_from(ids))
+    weight = st.one_of(
+        st.sampled_from(weights),
+        st.builds(lambda x, p: f"{x:.{p}g}", st.floats(0, 1e6),
+                  st.integers(1, 40)),
+        st.floats(0, 1e6).map(repr))
+    fields = [draw(ident), draw(ident)]
+    if kind != "short":
+        fields.append(draw(weight))
+    if kind == "long":
+        fields.append(draw(weight))
+    sep = draw(st.sampled_from(SEPARATORS[:-1] if rows else SEPARATORS))
+    line = draw(st.sampled_from(["", " "])) + sep.join(fields)
+    if kind == "midline":
+        line += " # " + draw(st.sampled_from(["c", "1", "0 1 2"]))
+    return line
+
+
+@st.composite
+def edge_files(draw):
+    """(header, text): a graph file (with a header line, good or bad)
+    or a hopset file, its lines ended by LF, CRLF or CR; in about half
+    the files numpy's parser reads every line (``edge_lines``), under a
+    header "7 3" in a graph file."""
+    header, rows = draw(st.booleans()), draw(st.booleans())
+    lines = draw(st.lists(edge_lines(rows), max_size=8))
+    if header and (rows or draw(st.booleans())):
+        head = "7 3" if rows else draw(st.one_of(
+            st.builds("{} {}".format, st.integers(0, 7), st.integers(0, 8)),
+            st.sampled_from(["x 1", "5", "-1 0", "4 3 1",
+                             f"{2 ** 63} 0", "٤ 1"])))
+        lines.insert(draw(st.integers(0, min(2, len(lines)))), head)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    tail = end if draw(st.booleans()) else ""
+    return header, end.join(lines) + tail if lines else ""
+
+
+def read_outcome(read, *args):
+    """What ``read(*args)`` gives: (n, m, ids, id dtype, weight bits), or
+    the exception's type and message."""
+    try:
+        n, m, (u, v, w) = read(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (n, m, u.tolist(), v.tolist(), u.dtype, v.dtype,
+            np.asarray(w, np.float64).view(np.uint64).tolist())
+
+
+class TestReadEdges:
+    """``read_edges`` parses with numpy and falls back to the line loop
+    ``_parse_lines``, the reference: both must read every text alike."""
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @settings(deadline=None, max_examples=300)  # writes temp files
+    @given(edge_files())
+    @example((False, "0 1 2.0 # c\n"))  # comments="#" would accept it
+    @example((True, "3 1\n0 1 2.0 # c\n"))
+    @example((False, ""))
+    @example((True, "# only a comment\n"))
+    @example((True, "2 0\n\n  \n"))
+    @example((False, "0 1 1.5\r\n2 3 -0.0\r\n"))
+    @example((False, f"{2 ** 63} 0 1.0\n-4 -5 0.5\n"))
+    @example((True, "3 1\n-1 0 1.0\n"))
+    @example((True, "3 1\n0 3 1.0\n"))
+    @example((False, "0 1 inf\n"))
+    def test_numpy_path_equals_line_loop(self, case):
+        header, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "e.txt")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            with open(path, "r", encoding="utf-8") as fh:
+                decoded = fh.read()
+            got = read_outcome(read_edges, path, header)
+            want = read_outcome(_parse_lines, path, decoded, header)
+        assert got == want
 
 
 class TestGraph:

@@ -163,6 +163,12 @@ class TestPhopset:
         b = phopset(g, practical(20), delta=0.2, seed=11, beta=4.0, sweeps=2)
         assert a == b
 
+    @pytest.mark.parametrize("sweeps", [0, -1])
+    def test_rejects_bad_sweeps(self, sweeps):
+        g = Graph(2, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="sweeps must be >= 1"):
+            phopset(g, practical(2), delta=0.5, seed=0, sweeps=sweeps)
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             phopset(Graph(2, []), practical(2), delta=0.0, seed=0)

@@ -106,7 +106,9 @@ class TestPracticalMode:
         ("rho_min", math.nan, "need 1 < rho_min"),
         ("rho_min", math.inf, "need 1 < rho_min"),
         ("rho_min", 1e308, "rho_max <= 2^53"),  # no integer radii left
-        ("interval_width", 2 ** 53, "rho_max <= 2^53")])
+        ("interval_width", 2 ** 53, "rho_max <= 2^53"),
+        pytest.param("interval_width", 10 ** 400, "rho_max <= 2^53",
+                     id="interval_width-401-digits")])
     def test_rejects_meaningless_values(self, key, value, fragment):
         with pytest.raises(ValueError, match=re.escape(fragment)):
             derive_params(64, 0.5, k=2, lam=1, mode=MODE_PRACTICAL,
