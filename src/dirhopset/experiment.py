@@ -18,7 +18,7 @@ from .generate import generate
 from .graph import (EdgeSet, Graph, check_edges, load_graph, read_edges,
                     write_edges)
 from .hopset import Instrumentation, hopset_unweighted, hopset_weighted
-from .parallel import check_rounding, phopset
+from .parallel import check_rounding, default_beta, phopset
 from .params import MODE_PRACTICAL, OVERRIDES, Params, derive_params
 from .verify import (VerificationReport, check_claim, check_hopset,
                      sample_sources)
@@ -188,7 +188,8 @@ def run_experiment(cfg: ExperimentConfig
             params = derive_params(g.n, cfg.epsilon, cfg.k, cfg.lam,
                                    cfg.mode, **cfg.overrides)
             if cfg.algorithm == "parallel":
-                check_rounding(cfg.delta, cfg.beta, cfg.sweeps)
+                check_rounding(cfg.delta, default_beta(params)
+                               if cfg.beta is None else cfg.beta, cfg.sweeps)
         except ValueError as exc:
             raise ExperimentError(f"params: {exc}") from exc
         t0 = time.perf_counter()

@@ -5,23 +5,24 @@ The graph is stored as (u, v, w) numpy arrays sorted by (u, v), and as
 forward and reverse adjacency lists over dense 0-based vertex ids.
 ``Graph(n, edges)`` and ``Graph.from_arrays`` validate (``check_edges``)
 and min-merge with numpy and build each list on first use.  An induced
-subgraph keeps its parent's ids: its adjacency is dicts keyed by member,
-built from edges cut from the parent's CSR (``cut_frames``).  Weights
-stay in the input's units: the drivers normalise them.  Graphs are
-immutable after construction; EdgeSet, the same sorted arrays, is the
-single mutable accumulator of hopset edges.  ``merge_min_arrays`` is
-the one min-merge; ``to_csr`` groups edges for ``Graph.csr`` and the
-verifier's G + H;
-``Graph.lighter`` joins pairs against a graph's edges; ``read_edges``
-and ``write_edges`` are the graph and hopset file codec.  ``read_edges``
-parses with numpy's C parser and, where numpy refuses the text or a row
-breaks a rule, with the line loop that is its reference and that names
-the faulty line.
+subgraph (a recursion frame) keeps its parent's ids and is made only by
+``cut_frames``, which cuts a level's frames from the parent's CSR in
+one pass; a frame's adjacency is dicts keyed by member.
+Weights stay in the input's units: the drivers normalise them.
+Graphs are immutable after construction; EdgeSet, the same sorted
+arrays, is the single mutable accumulator of hopset edges.
+``merge_min_arrays`` is the one min-merge; ``to_csr`` groups edges for
+``Graph.csr`` and the verifier's G + H; ``Graph.lighter`` joins pairs
+against a graph's edges; ``read_edges`` and ``write_edges`` are the
+graph and hopset file codec.  ``read_edges`` parses with numpy's C
+parser and, where numpy refuses the text or a row breaks a rule, with
+the line loop that is its reference and that names the faulty line.
 """
 from __future__ import annotations
 
 import io
 import math
+import operator
 from itertools import chain
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
@@ -58,20 +59,27 @@ def merge_min_arrays(u: np.ndarray, v: np.ndarray,
     return u[keep], v[keep], w[keep]
 
 
-def _columns(u: Sequence[int], v: Sequence[int],
-             w: Sequence[float]) -> EdgeArrays:
-    """The columns as new arrays; ids that overflow int64 as objects."""
+def _columns(u: Sequence[int], v: Sequence[int], w: Sequence[float],
+             array=np.array) -> EdgeArrays:
+    """The columns as arrays made by ``array`` (new ones by default); ids
+    that overflow int64 as objects."""
     try:
-        u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+        u, v = array(u, dtype=np.int64), array(v, dtype=np.int64)
     except OverflowError:
-        u, v = np.array(u, dtype=object), np.array(v, dtype=object)
-    return u, v, np.array(w, dtype=np.float64)
+        u, v = array(u, dtype=object), array(v, dtype=object)
+    return u, v, array(w, dtype=np.float64)
 
 
 def check_edges(n: int, u: Sequence[int], v: Sequence[int],
                 w: Sequence[float]) -> EdgeArrays:
-    """The (u, v, w) columns as new arrays; ValueError for the first edge
-    with an endpoint outside [0, n) or a weight not finite and >= 0."""
+    """The (u, v, w) columns as new arrays; ValueError unless n is an
+    integer >= 0, and for the first edge with an endpoint outside [0, n)
+    or a weight not finite and >= 0."""
+    try:
+        if operator.index(n) < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
     u, v, w = _columns(u, v, w)
     bad = ((u < 0) | (u >= n) | (v < 0) | (v >= n)
            | ~((w >= 0) & (w < math.inf)))
@@ -215,8 +223,10 @@ class EdgeSet:
 
     def extend(self, u: Sequence[int], v: Sequence[int],
                w: Sequence[float]) -> None:
-        """Add the edges of the columns u, v and w."""
-        self._buffer.append(_columns(u, v, w))
+        """Add the edges of the columns u, v and w.  Arrays of the
+        right dtypes are not copied: the set reads them at its next
+        merge, so callers must not write to them."""
+        self._buffer.append(_columns(u, v, w, np.asarray))
 
     def arrays(self) -> EdgeArrays:
         """The (u, v, w) arrays, sorted by (u, v); the set's own, so
@@ -252,38 +262,29 @@ def augment(g: Graph, h: EdgeSet) -> Graph:
 
 class InducedSubgraph:
     """The subgraph of ``parent`` induced by the vertices ``global_ids``
-    (ascending), in the parent's ids, which are in [0, n).
+    (ascending, distinct, in [0, n)), in the parent's ids.  Frames are
+    made only by ``cut_frames``, and by ``induce`` through it.
 
-    ``fwd[x]`` and ``rev[x]`` hold, for each member x, the parent's
-    (y, w) pairs whose y is a member, in the parent's order: ``edges``
-    in (u, v) order, else a cut of the subset.  The subgraph on all
-    vertices shares the parent and keeps no lists.
+    ``fwd[x]`` and ``rev[x]`` hold, for each member x, the (y, w) pairs
+    of the cut's ``edges`` (the parent's edges between members, in
+    (u, v) order); ``low`` is their lightest positive weight.  The
+    subgraph on all vertices shares the parent and keeps no lists.
     """
 
     __slots__ = ("parent", "global_ids", "n", "fwd", "rev",
                  "min_positive_weight")
 
-    def __init__(self, parent: Graph, subset: Iterable[int],
-                 edges: Optional[Iterable[Edge]] = None):
-        ids = sorted(set(subset))
-        if ids and (ids[0] < 0 or ids[-1] >= parent.n):
-            raise ValueError("vertex id out of range for induced subgraph")
+    def __init__(self, parent: Graph, ids: List[int],
+                 edges: Iterable[Edge], low: float):
         self.parent, self.global_ids, self.n = parent, ids, parent.n
-        if len(ids) == parent.n:
-            self.fwd = self.rev = None
-            self.min_positive_weight = parent.min_positive_weight
-            return
-        if edges is None:
-            edges = zip(*_cut(parent, [ids])[1])
-        fwd, rev = self.fwd, self.rev = {x: [] for x in ids}, \
-            {x: [] for x in ids}
-        low = math.inf
-        for x, y, w in edges:
-            fwd[x].append((y, w))
-            rev[y].append((x, w))
-            if 0 < w < low:
-                low = w
         self.min_positive_weight = low
+        self.fwd = self.rev = None
+        if len(ids) < parent.n:
+            fwd, rev = self.fwd, self.rev = {x: [] for x in ids}, \
+                {x: [] for x in ids}
+            for x, y, w in edges:
+                fwd[x].append((y, w))
+                rev[y].append((x, w))
 
     def __len__(self) -> int:
         return len(self.global_ids)
@@ -293,13 +294,14 @@ class InducedSubgraph:
         return len(self.global_ids) == self.parent.n
 
 
-def _cut(g: Graph, parts: Sequence[Sequence[int]]
-         ) -> Tuple[List[int], Tuple[list, list, list], np.ndarray]:
-    """(bounds, (u, v, w), low): part i's edges, in (u, v) order, are
-    the lists' items bounds[i]:bounds[i + 1], and low[i] is its lightest
-    positive edge weight (inf if none).  They are cut from g's CSR in one
-    pass: a member's row is gathered, and a head kept when its key
-    part * n + head is one of the part's keys, which ascend."""
+def cut_frames(g: Graph, parts: Sequence[List[int]],
+               d: float) -> List[Optional[InducedSubgraph]]:
+    """The frame of g on each of ``parts`` (ascending distinct ids in
+    [0, n)) that has a positive edge of weight at most ``d``, else None.
+    Every part is cut from g's CSR in one pass: a member's row is
+    gathered, and a head kept when its key part * n + head is one of the
+    part's keys, which ascend.  Each frame gets its edges in (u, v)
+    order and their lightest positive weight (inf if none)."""
     sizes = [len(p) for p in parts]
     members = np.fromiter(chain.from_iterable(parts), np.int64, sum(sizes))
     part = np.repeat(np.arange(len(parts)), sizes)
@@ -315,23 +317,21 @@ def _cut(g: Graph, parts: Sequence[Sequence[int]]
     low = np.full(len(parts), np.inf)
     np.minimum.at(low, part, np.where(w > 0, w, np.inf))
     bounds = np.searchsorted(part, np.arange(len(parts) + 1)).tolist()
-    return bounds, (tails[keep].tolist(), heads[edge].tolist(),
-                    w.tolist()), low
-
-
-def cut_frames(g: Graph, parts: Sequence[Sequence[int]],
-               d: float) -> List[Optional[InducedSubgraph]]:
-    """``induce(g, part)`` for each of ``parts`` (ascending distinct ids)
-    that has a positive edge of weight at most ``d``, else None; every
-    part is cut from g's CSR in the same pass."""
-    bounds, (u, v, w), low = _cut(g, parts)
-    return [InducedSubgraph(g, p, zip(u[a:b], v[a:b], w[a:b]))
+    u, v, w = tails[keep].tolist(), heads[edge].tolist(), w.tolist()
+    return [InducedSubgraph(g, p, zip(u[a:b], v[a:b], w[a:b]), x)
             if x <= d else None
             for p, a, b, x in zip(parts, bounds, bounds[1:], low.tolist())]
 
 
 def induce(g: Graph, subset: Iterable[int]) -> InducedSubgraph:
-    return InducedSubgraph(g, subset)
+    """The frame of g on the distinct ids of ``subset``; ValueError for
+    an id outside [0, n)."""
+    ids = sorted(set(subset))
+    if ids and (ids[0] < 0 or ids[-1] >= g.n):
+        raise ValueError("vertex id out of range for induced subgraph")
+    if len(ids) == g.n:
+        return InducedSubgraph(g, ids, (), g.min_positive_weight)
+    return cut_frames(g, [ids], math.inf)[0]
 
 
 _ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])

@@ -207,8 +207,13 @@ def _run_shortcutters(sink: ShortcutSink, sub: InducedSubgraph,
 
 
 def _frame_distance(base: float, r: int, params: Params) -> float:
-    """d_r, the distance unit of a level-r frame from distance ``base``."""
-    return base / ((params.lam ** r) * (params.k ** (r / 2.0)))
+    """d_r, the distance unit of a level-r frame from distance ``base``;
+    0 where lam^r k^(r/2) passes the floats: d_r is then below 1, the
+    least positive weight of the graphs the drivers build on."""
+    try:
+        return base / ((params.lam ** r) * (params.k ** (r / 2.0)))
+    except OverflowError:
+        return 0.0
 
 
 def hs_recurse(frame: RecursionFrame, levels: Sequence[int],

@@ -71,8 +71,13 @@ def derive_parallel_params(n: int, epsilon: float, k: int = 2,
 
 
 def _paper_beta(n: int, k: int, lam: int) -> float:
-    """The literal hop bound 6 lam^(log_k n) sqrt(n) / log2(n)."""
-    return 6.0 * (lam ** math.log(n, k)) * math.sqrt(n) / math.log2(n)
+    """The literal hop bound 6 lam^(log_k n) sqrt(n) / log2(n);
+    ValueError if lam^(log_k n) overflows a float."""
+    try:
+        return 6.0 * (lam ** math.log(n, k)) * math.sqrt(n) / math.log2(n)
+    except OverflowError:
+        raise ValueError(f"the default beta overflows a float: lambda^"
+                         f"(log_k n) for n = {n}, k = {k}") from None
 
 
 def default_beta(params: Params) -> float:

@@ -46,6 +46,10 @@ class Params:
 def _validate(p: Params) -> Params:
     if p.lam < 1:
         raise ValueError("lambda must be >= 1")
+    # the drivers take k and lam * k^(i + 1), i < max_level, as floats
+    if not p.lam * p.k ** p.max_level <= sys.float_info.max:
+        raise ValueError(f"lambda * k^{p.max_level} must be at most the "
+                         f"largest float")
     if not abs(p.c) * math.log2(p.k) < sys.float_info.max_exp - 1:
         raise ValueError(f"c must be finite, with k^c and k^-c finite "
                          f"floats, got {p.c}")
@@ -92,15 +96,20 @@ def derive_params(n: int, epsilon: float, k: int = 2, lam: int = 8,
                              "repetitions may be overridden")
         L = math.ceil(15.0 - 2.0 * math.log(epsilon, k)) if epsilon > 0 \
             else 15
-        kc = (lam ** L) * (k ** ((L - 1) / 2.0)) / (32.0 * log_n ** 3)
-        # rho_max is then 32*lam^2*k^2*log^2(n) when log2(n) is integral
-        const = {
-            "L": L, "c": math.log(kc, k),
-            "repetitions": math.ceil(lam * log_n),
-            "interval_count": math.ceil(4.0 * lam * lam * k * log_n * log_n),
-            "interval_width": 4 * k,
-            "rho_min": 16.0 * lam * lam * k * k * log_n * log_n - 1.0,
-            **overrides}
+        try:
+            kc = (lam ** L) * (k ** ((L - 1) / 2.0)) / (32.0 * log_n ** 3)
+            # rho_max is then 32*lam^2*k^2*log^2(n) when log2(n) is integral
+            const = {
+                "L": L, "c": math.log(kc, k),
+                "repetitions": math.ceil(lam * log_n),
+                "interval_count": math.ceil(
+                    4.0 * lam * lam * k * log_n * log_n),
+                "interval_width": 4 * k,
+                "rho_min": 16.0 * lam * lam * k * k * log_n * log_n - 1.0,
+                **overrides}
+        except OverflowError:
+            raise ValueError("paper mode's constants overflow a float for "
+                             "this lambda and k") from None
     elif mode == MODE_PRACTICAL:
         const = {**PRACTICAL, **overrides}
     else:

@@ -445,7 +445,16 @@ class TestMalformedInput:
          "config: k must be at most 1.7976931348623157e+308 in "
          "magnitude, got an integer of 1130 bits"),
         (["build", "--family", "path", "--n", "8", "--repetitions",
-          "9" * 340], "config: overrides.repetitions must be at most")])
+          "9" * 340], "config: overrides.repetitions must be at most"),
+        (["build", "--family", "path", "--n", "8", "--mode", "paper",
+          "--lambda", "1" + "0" * 30],
+         "params: paper mode's constants overflow a float"),
+        (["build", "--family", "path", "--n", "8", "--mode", "paper",
+          "--k", "9" * 301],
+         "params: paper mode's constants overflow a float"),
+        (["build", "--family", "path", "--n", "8", "--algorithm", "parallel",
+          "--epsilon", "0.5", "--lambda", "9" * 301],
+         "params: the default beta overflows a float")])
     def test_malformed_flag(self, tmp_path, capsys, argv, fragment):
         # exit 2, one JSON object on stderr, no traceback
         files = {"h": tmp_path / "h.txt", "tiny": tmp_path / "g.txt",

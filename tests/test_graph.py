@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dirhopset.experiment import read_hopset, write_hopset
-from dirhopset.graph import (EdgeSet, Graph, GraphFormatError, _parse_lines,
-                             augment, check_edges, cut_frames, induce,
-                             load_graph, merge_min, merge_min_arrays,
-                             read_edges, save_graph)
+from dirhopset.graph import (EdgeSet, Graph, GraphFormatError,
+                             InducedSubgraph, _parse_lines, augment,
+                             check_edges, cut_frames, induce, load_graph,
+                             merge_min, merge_min_arrays, read_edges,
+                             save_graph)
 from dirhopset.search import BACKWARD, bounded_search
 
 from oracles import (all_pairs, dijkstra, edge_dict, graph_reference,
@@ -38,10 +39,11 @@ def multigraphs(draw, bad=False):
 
 @st.composite
 def subgraphs(draw):
-    """(n, edges, ids): a multigraph and a sorted vertex subset."""
+    """(n, edges, ids): a multigraph and a list of its vertices in any
+    order, maybe with repeats."""
     n, edges = draw(multigraphs())
-    ids = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
-    return n, edges, sorted(ids)
+    return n, edges, draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                   max_size=n))
 
 
 def columns(edges):
@@ -229,6 +231,18 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(2, [(0, 1, w)])
 
+    @pytest.mark.parametrize("n, edges, fragment", [
+        (-3, [], "n must be >= 0"),
+        (2.5, [(0, 1, 1.0)], "n must be an integer")])
+    def test_rejects_bad_n(self, n, edges, fragment):
+        for build in (lambda: Graph(n, edges),
+                      lambda: Graph.from_arrays(n, *columns(edges))):
+            with pytest.raises(ValueError, match=fragment):
+                build()
+
+    def test_numpy_integer_n(self):
+        assert Graph(np.int64(3), [(0, 2, 1.0)]).m == 1
+
     def test_weight_stats(self):
         g = Graph(3, [(0, 1, 0.0), (1, 2, 4.0), (0, 2, 2.0)])
         assert g.max_weight == 4.0
@@ -365,13 +379,21 @@ class TestInduce:
         assert len(sub) == 0 and sub.fwd == {} and sub.rev == {}
         assert sub.min_positive_weight == math.inf
 
+    def test_frames_come_from_a_cut(self):
+        with pytest.raises(TypeError):
+            InducedSubgraph(Graph(3, [(0, 2, 1.0)]), {0, 2})
+
     @given(subgraphs())
     @example((3, [(0, 1, 0.0), (1, 0, 2.0), (1, 2, 1.0)], [0, 1]))
     @example((3, [(0, 1, 0.5), (0, 1, -0.0), (1, 0, 0.25)], [0, 1]))
+    @example((3, [(0, 2, 1.0), (2, 0, 0.5), (1, 2, 1.0)], [2, 0, 2]))
+    @example((3, [(0, 1, 0.0), (1, 2, 1.0)], [0, 1]))  # its one edge weighs 0
     def test_against_filter_oracle(self, case):
         n, edges, ids = case
         g = Graph(n, edges)
-        same_frame(g, n, edges, ids, induce(g, ids))
+        frame = induce(g, ids)
+        assert frame.global_ids == sorted(set(ids))
+        same_frame(g, n, edges, ids, frame)
 
 
 def same_frame(g, n, edges, ids, frame):

@@ -190,6 +190,16 @@ class TestDrivers:
                 cache[u] = dijkstra(50, edges, u)
             assert w == cache[u][v]
 
+    def test_lambda_powers_beyond_floats(self):
+        # scales near 1e305 run level-1 frames, and then lam^2 passes the
+        # floats: the next level has no frame, not an OverflowError
+        g = Graph(4, [(0, 1, 1.0), (1, 2, 1e305), (2, 3, 1.0)])
+        params = derive_params(4, 0.5, k=2, lam=10 ** 301 - 1,
+                               mode="practical")
+        for h in (hopset_weighted(g, params, 0),
+                  phopset(g, params, 0.05, 0, beta=4.0)):
+            assert check_hopset(g, h, 3, 0.0).ok
+
     def test_zero_weight_cycle(self):
         g = Graph(3, [(0, 1, 0.0), (1, 2, 0.0), (2, 0, 0.0)])
         h = hopset_weighted(g, practical(3), 0)

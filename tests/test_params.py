@@ -124,6 +124,22 @@ class TestPracticalMode:
         with pytest.raises(ValueError):
             derive_params(64, 0.5, k=1, lam=1, mode=MODE_PRACTICAL)
 
+    @pytest.mark.parametrize("k, lam, fragment", [
+        pytest.param(10 ** 400, 1, "lambda * k^1 must be at most",
+                     id="k-401-digits"),
+        pytest.param(2, 10 ** 400, "lambda * k^3 must be at most",
+                     id="lambda-401-digits")])
+    def test_rejects_constants_beyond_floats(self, k, lam, fragment):
+        # the drivers take k^x and lam * k^i as floats: OverflowError
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            derive_params(8, 0.0, k=k, lam=lam, mode=MODE_PRACTICAL)
+
+    @pytest.mark.parametrize("k, lam", [(2, 10 ** 30), (10 ** 301 - 1, 1)])
+    def test_paper_constants_overflow(self, k, lam):
+        with pytest.raises(ValueError, match="paper mode's constants "
+                                             "overflow a float"):
+            derive_params(8, 0.0, k=k, lam=lam, mode=MODE_PAPER)
+
     @pytest.mark.parametrize("mode", [MODE_PRACTICAL, MODE_PAPER])
     def test_rejects_unknown_overrides(self, mode):
         with pytest.raises(ValueError, match=r"\['Lx', 'rho_mn'\]"):
