@@ -60,7 +60,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shortcut-levels", type=int, dest="L",
                    help="practical-mode L (shortcutter level margin)")
     p.add_argument("--scale-range", dest="scale_range",
-                   help="inclusive 'lo:hi' distance-scale exponents")
+                   help="inclusive 'lo:hi' distance-scale exponents, in "
+                        "units of the largest 2^e <= min(1, lightest weight)")
     p.add_argument("--delta", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--sweeps", type=int)

@@ -19,6 +19,8 @@ def generate(family: str, n: int, m: Optional[int] = None, W: int = 1,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if m is not None and m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     rng = random.Random((seed, family, n, m, W).__repr__())
 
     def weight() -> float:

@@ -8,7 +8,7 @@ and min-merge with numpy and build each list on first use.  An induced
 subgraph (a recursion frame) keeps its parent's ids and is made only by
 ``cut_frames``, which cuts a level's frames from the parent's CSR in
 one pass; a frame's adjacency is dicts keyed by member.
-Weights stay in the input's units: the drivers normalise them.
+Weights stay in the input's units, which the drivers build in.
 Graphs are immutable after construction; EdgeSet, the same sorted
 arrays, is the single mutable accumulator of hopset edges.
 ``merge_min_arrays`` is the one min-merge; ``to_csr`` groups edges for

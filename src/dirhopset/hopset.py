@@ -208,8 +208,9 @@ def _run_shortcutters(sink: ShortcutSink, sub: InducedSubgraph,
 
 def _frame_distance(base: float, r: int, params: Params) -> float:
     """d_r, the distance unit of a level-r frame from distance ``base``;
-    0 where lam^r k^(r/2) passes the floats: d_r is then below 1, the
-    least positive weight of the graphs the drivers build on."""
+    0 where lam^r k^(r/2) passes the floats.  A driver's ``base`` is
+    below 2^1023 of its graph's weight unit 2^e (``check_scales``), so
+    d_r is then below 2^e, at most the graph's least positive weight."""
     try:
         return base / ((params.lam ** r) * (params.k ** (r / 2.0)))
     except OverflowError:
@@ -371,45 +372,42 @@ def check_scales(scales: Tuple[int, int]) -> Tuple[int, int]:
 
 def default_scale_range(n: int, weighted: bool,
                         max_weight: float = 1.0) -> Tuple[int, int]:
-    """Inclusive (lo, hi) distance-scale exponents for the drivers;
-    ValueError as in ``top_scale``."""
+    """Inclusive (lo, hi) distance-scale exponents for the drivers, the
+    heaviest weight in weight units; ValueError as in ``top_scale``."""
     log_n = math.log2(n)
     if weighted:
         return (-1, top_scale(n * max(max_weight, 1.0)))
     return (math.ceil(log_n / 2.0), math.ceil(log_n))
 
 
-def normalize_weights(g: Graph) -> Tuple[Graph, float]:
-    """(g with every weight times s, s): s = 1 / g.min_positive_weight
-    when that weight is below 1, else s = 1 and the graph is g itself.
-
-    The drivers assume a lightest positive weight of at least 1: they
-    build on the scaled graph and divide their output by s.  ValueError
-    when the heaviest weight times s overflows a float."""
-    if not g.min_positive_weight < 1.0:
-        return g, 1.0
-    s = 1.0 / g.min_positive_weight
-    if not g.max_weight * s < math.inf:
-        raise ValueError(f"weight range overflows a float: heaviest / "
-                         f"lightest positive weight = {g.max_weight!r} / "
-                         f"{g.min_positive_weight!r}")
-    u, v, w = g.edge_arrays()
-    return Graph.from_arrays(g.n, u, v, w * s), s
+def unit_exponent(g: Graph) -> int:
+    """e of the weight unit 2^e that the drivers' scales count in: 2^e is
+    the largest power of two at most g's lightest positive weight, or 1
+    if that weight is >= 1 or there is none.  ValueError "weight range
+    overflows a float" below 2^-1021, where the lowest scales would leave
+    the normal floats."""
+    low = g.min_positive_weight
+    if low >= 1.0:
+        return 0
+    e = math.frexp(low)[1] - 1
+    if e < sys.float_info.min_exp:
+        raise ValueError(f"weight range overflows a float: lightest "
+                         f"positive weight {low!r} below 2^-1021")
+    return e
 
 
 def _run_scales(g: Graph, params: Params, seed: int, weighted: bool,
                 scale_range: Optional[Tuple[int, int]],
                 instr: Optional[Instrumentation]) -> EdgeSet:
-    g, s = normalize_weights(g)
-    default = default_scale_range(g.n, weighted, g.max_weight)
+    e = unit_exponent(g)
+    default = default_scale_range(g.n, weighted, g.max_weight * 2.0 ** -e)
     lo, hi = check_scales(scale_range or default)
     sink = ShortcutSink(g)
     for rep in range(params.repetitions):
         for j in range(lo, hi + 1):
-            _run_scale(sink, params, seed, (rep, j), 2.0 ** (j + 1),
-                       (2.0 ** j) * (params.k ** (-params.c)), instr)
-    u, v, w = sink.arrays()
-    return EdgeSet.from_arrays(u, v, w / s)  # in the input's units
+            _run_scale(sink, params, seed, (rep, j), 2.0 ** (j + e + 1),
+                       (2.0 ** (j + e)) * (params.k ** (-params.c)), instr)
+    return EdgeSet.from_arrays(*sink.arrays())
 
 
 def hopset_unweighted(g: Graph, params: Params, seed: int = 0, *,
@@ -426,8 +424,8 @@ def hopset_weighted(g: Graph, params: Params, seed: int = 0, *,
                     instr: Optional[Instrumentation] = None) -> EdgeSet:
     """Hopset for a nonnegative-weight directed graph, in g's units.
 
-    A given ``scale_range`` (inclusive distance-scale exponents) is in
-    the units of ``normalize_weights(g)``, which the build runs on.
-    ValueError as in ``normalize_weights`` and ``check_scales``.
+    ``scale_range``: inclusive distance-scale exponents; scale j searches
+    to 2^(j+1) 2^e, 2^e the weight unit.  ValueError as in
+    ``unit_exponent`` and ``check_scales``.
     """
     return _run_scales(g, params, seed, True, scale_range, instr)

@@ -3,13 +3,11 @@
 Each distance scale quantizes the current working graph (original edges
 plus previously injected hopset edges) to integer multiples of a unit,
 runs bounded searches in quantized units, scales the returned edges back,
-and extends the hopset, one ``EdgeSet``, by them; the hopset is
-min-merged and injected into the working graph between sweeps.  The
-working graph is quantized with one vectorised ceil, and the graphs the
-searches need are built from (u, v, w) arrays with
-``Graph.from_arrays``.  Searches within a frame are mutually independent
-(read-only graph, keyed RNG), so a concurrent executor must produce
-bit-identical output to this serial order.
+and extends the hopset, one ``EdgeSet``, by them.  Between sweeps the
+hopset is min-merged into the working graph (``augment``); each scale
+quantizes that graph with one vectorised ceil.  Searches within a frame
+are mutually independent (read-only graph, keyed RNG), so a concurrent
+executor must produce bit-identical output to this serial order.
 """
 from __future__ import annotations
 
@@ -19,9 +17,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .graph import EdgeSet, Graph, concat_arrays
+from .graph import EdgeSet, Graph, augment
 from .hopset import (Instrumentation, ShortcutSink, check_scales,
-                     normalize_weights, top_scale, _run_scale)
+                     top_scale, unit_exponent, _run_scale)
 from .params import MODE_PAPER, Params
 
 
@@ -113,12 +111,12 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
     the lightest positive weight of ``g`` are floored to 0: an estimate
     that light bounds a path with no positive edge, so the pair's
     distance is 0.  A pair no lighter than the edge of ``g`` it
-    parallels is left out.  A given ``scale_range`` (inclusive
-    distance-scale exponents) is in the units of ``normalize_weights(g)``,
-    the graph ``gs`` the build runs on.  ValueError as in
-    ``normalize_weights``, ``check_rounding`` and ``check_scales``.
+    parallels is left out.  ``scale_range``: inclusive distance-scale
+    exponents; scale i keeps the edges lighter than 2^(i+1) 2^e, 2^e
+    the weight unit.  ValueError as in ``unit_exponent``,
+    ``check_rounding`` and ``check_scales``.
     """
-    gs, s = normalize_weights(g)
+    e = unit_exponent(g)
     n = g.n
     if beta is None:
         beta = default_beta(params)
@@ -126,21 +124,19 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
     if sweeps is None:
         sweeps = math.ceil(params.lam * params.log_n ** 2) \
             if params.mode == MODE_PAPER else params.repetitions
-    top = top_scale(n * n * max(gs.max_weight, 1.0))
+    top = top_scale(n * n * max(g.max_weight * 2.0 ** -e, 1.0))
     lo, hi = check_scales(scale_range or (-2, top))
 
-    floor = gs.min_positive_weight
+    floor = g.min_positive_weight
     hopset = EdgeSet()
     shortcut_radius = 8.0 * (1.0 + delta) * beta / delta
     recurse_base = 4.0 * (1.0 + delta) * beta / (delta * (params.k ** params.c))
 
     for sweep in range(sweeps):
-        # the working graph: g's edges min-merged with the hopset so far
-        cur = Graph.from_arrays(n, *concat_arrays(gs.edge_arrays(),
-                                                  hopset.arrays()))
+        cur = augment(g, hopset)  # the working graph
         for i in range(lo, hi + 1):
-            scheme = RoundingScheme(scale_index=i, delta=delta, beta=beta)
-            qg = quantize(cur, i, scheme)
+            scheme = RoundingScheme(i + e, delta, beta)
+            qg = quantize(cur, i + e, scheme)
             if qg.graph.m == 0:
                 continue
             sink = ShortcutSink(qg.graph)
@@ -150,6 +146,5 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
             w = wq * scheme.unit
             hopset.extend(u, v, np.where(w < floor, 0.0, w))
     u, v, w = hopset.arrays()
-    w = w / s  # in the input's units
     keep = g.lighter(u, v, w)
     return EdgeSet.from_arrays(u[keep], v[keep], w[keep])

@@ -7,6 +7,8 @@ of ``r.json`` (the check's report with its per-level counters), of the
 hopset read back from the file, of ``measure_hopbound`` over sampled
 pairs and of the frame trace (``Instrumentation(record_frames=True)``).
 The two benchmark workloads' drivers run on three inputs each as well.
+Weighted lines scale the generated weights by 0.25, a power of two;
+lines that start with "x0.3" scale them by 0.3, which is not one.
 Lines that start with "cli" build through ``cli.main build`` from a
 config file, with flags over it (``--repetitions``,
 ``--shortcut-levels``, ``--scale-range`` and others), and digest the
@@ -75,6 +77,12 @@ def read(path: str) -> bytes:
         return fh.read()
 
 
+def scaled(g: Graph, factor: float) -> Graph:
+    """g with every weight times ``factor``."""
+    u, v, w = g.edge_arrays()
+    return Graph.from_arrays(g.n, u, v, w * factor)
+
+
 def build(g: Graph, driver: str, params, seed: int, instr, **kw):
     if driver == "parallel":
         return phopset(g, params, kw.get("delta", 0.2), seed,
@@ -139,9 +147,8 @@ def digests() -> None:
                     g = generate(family, N, 2 * N if family in (
                         "random-gnm", "layered-dag") else None,
                         1 if driver == "unweighted" else 8, seed)
-                    if driver != "unweighted":  # exercise the normalising
-                        u, v, w = g.edge_arrays()
-                        g = Graph.from_arrays(g.n, u, v, w * 0.25)
+                    if driver != "unweighted":  # weights below 1
+                        g = scaled(g, 0.25)
                     for L in (1, 2):
                         line = digest(tmp, g, driver, seed,
                                       0.5 if driver == "parallel" else 0.0,
@@ -178,6 +185,15 @@ def digests() -> None:
                 tmp, g, "parallel", seed, 0.5, {"L": 1}, delta=0.05,
                 beta=16.0, sweeps=5, scale_range=(5, 6), ratio_bound=2.0),
                 flush=True)
+        for family in ("grid", "random-gnm"):  # a weight unit of 2^-2
+            for seed in SEEDS:
+                for driver in ("weighted", "parallel"):
+                    g = scaled(generate(family, N, 2 * N if family ==
+                                        "random-gnm" else None, 8, seed), 0.3)
+                    print("x0.3", family, seed, driver, 1, digest(
+                        tmp, g, driver, seed,
+                        0.5 if driver == "parallel" else 0.0, {"L": 1}),
+                        flush=True)
 
 
 def compare(rev: str) -> int:

@@ -454,7 +454,11 @@ class TestMalformedInput:
          "params: paper mode's constants overflow a float"),
         (["build", "--family", "path", "--n", "8", "--algorithm", "parallel",
           "--epsilon", "0.5", "--lambda", "9" * 301],
-         "params: the default beta overflows a float")])
+         "params: the default beta overflows a float"),
+        (["gen", "--family", "random-gnm", "--n", "5", "--m", "-3"],
+         "graph: m must be >= 0, got -3"),
+        (["gen", "--family", "layered-dag", "--n", "9", "--m", "-1"],
+         "graph: m must be >= 0, got -1")])
     def test_malformed_flag(self, tmp_path, capsys, argv, fragment):
         # exit 2, one JSON object on stderr, no traceback
         files = {"h": tmp_path / "h.txt", "tiny": tmp_path / "g.txt",

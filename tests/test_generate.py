@@ -33,6 +33,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate("random-gnm", 4, m=50)
 
+    @pytest.mark.parametrize("family", ["random-gnm", "layered-dag"])
+    def test_negative_m(self, family):
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            generate(family, 9, m=-1)
+
     def test_weights_in_range(self):
         g = generate("random-gnm", 30, m=120, W=9, seed=3)
         for _, _, w in g.iter_edges():

@@ -9,12 +9,13 @@ from dirhopset import search as searchmod
 from dirhopset.graph import EdgeSet, Graph, induce
 from dirhopset.hopset import (Instrumentation, RecursionFrame, ShortcutSink,
                               assign_levels, default_scale_range,
-                              hopset_unweighted, hopset_weighted, hs_recurse)
+                              hopset_unweighted, hopset_weighted, hs_recurse,
+                              unit_exponent)
 from dirhopset.parallel import phopset
 from dirhopset.params import derive_params
 from dirhopset.verify import check_hopset, measure_hopbound
 
-from oracles import dijkstra, edge_dict, graph_reference, random_edges
+from oracles import dijkstra, edge_dict, random_edges
 from trace_checks import verify_frames
 
 
@@ -221,16 +222,53 @@ class TestDrivers:
         assert a == b
 
     def test_light_weights_normalised(self):
-        # the hopset of g·s divided by s, s = 1 / the lightest weight
+        # the hopset of g·s divided by s, s = 4 = 2^-e: scales count in
+        # the weight unit 2^e = 1/4, the largest power of two <= 0.3,
+        # so a build on g is g·s's scaled by 1/s, exactly
         rng = random.Random(6)
         edges = [(u, v, rng.choice([0.3, 0.7, 1.1, 2.9]))
                  for u, v, _ in random_edges(30, 90, 1, rng)]
-        s = 1.0 / 0.3
+        s = 4.0
         scaled = Graph(30, [(u, v, w * s) for u, v, w in edges])
-        want = hopset_weighted(scaled, practical(30), 2)
-        got = hopset_weighted(Graph(30, edges), practical(30), 2)
-        assert len(want) > 0
+        traces = [Instrumentation(record_frames=True) for _ in range(2)]
+        want = hopset_weighted(scaled, practical(30), 2, instr=traces[0])
+        got = hopset_weighted(Graph(30, edges), practical(30), 2,
+                              instr=traces[1])
+        assert len(want) > 0 and len(traces[0].frames) > 0
         assert edge_dict(got) == {k: w / s for k, w in edge_dict(want).items()}
+        assert [t.d_r for t in traces[1].frames] == [
+            t.d_r / s for t in traces[0].frames]
+
+    @pytest.mark.parametrize("w, e", [
+        (0.3, -2), (0.25, -2), (0.2499, -3), (1.0, 0), (7.0, 0), (None, 0),
+        (2.0 ** -1021, -1021), (math.nextafter(2.0 ** -1021, 0), None)])
+    def test_unit_exponent(self, w, e):
+        g = Graph(2, [] if w is None else [(0, 1, w), (1, 0, 0.0)])
+        if e is None:
+            with pytest.raises(ValueError, match="weight range overflows"):
+                unit_exponent(g)
+        else:
+            assert unit_exponent(g) == e
+
+    def test_builds_no_graph(self, monkeypatch):
+        # on a lightest weight of 0.3 the build runs on g itself: it
+        # makes no scaled copy, nor any other Graph
+        rng = random.Random(6)
+        g = Graph(30, [(u, v, rng.choice([0.3, 0.7, 1.1, 2.9]))
+                       for u, v, _ in random_edges(30, 90, 1, rng)])
+        made = []
+
+        def counted(make):
+            def wrapper(*args):
+                made.append(make.__name__)
+                return make(*args)
+            return wrapper
+
+        monkeypatch.setattr(Graph, "__init__", counted(Graph.__init__))
+        monkeypatch.setattr(Graph, "from_arrays", classmethod(
+            counted(Graph.from_arrays.__func__)))
+        assert len(hopset_weighted(g, practical(30), 2)) > 0
+        assert made == []
 
     @pytest.mark.parametrize("build", [
         lambda g: hopset_weighted(g, practical(3)),
@@ -333,6 +371,9 @@ class TestValidHopsets:
              seed=0)
     @example(case=(3, [(1, 0, 2.), (2, 0, 2.), (1, 2, 1.5), (2, 0, 1.)]),
              c=0, L=1, seed=1)
+    # a build on the weights times 1 / 0.3 once gave (2, 1) an ulp below
+    # its distance, 1.5 + 0.3
+    @example(case=(3, [(0, 1, 1.5), (2, 0, 0.3)]), c=0, L=1, seed=0)
     @pytest.mark.parametrize("driver", ["weighted", "unweighted",
                                         "parallel"])
     def test_valid_without_self_or_root_duplicates(self, driver, case, c, L,
@@ -348,19 +389,14 @@ class TestValidHopsets:
             build = hopset_weighted if driver == "weighted" else \
                 hopset_unweighted
             h = build(g, params, seed)
-        # the exact drivers build on the weights times s and divide by s
-        mpw = graph_reference(n, edges)[3]
-        s = 1.0 / mpw if mpw < 1.0 else 1.0
-        scaled = [(u, v, w * s) for u, v, w in edges]
-        fwd = [dijkstra(n, scaled, x) for x in range(n)]
-        bwd = [dijkstra(n, scaled, x, reverse=True) for x in range(n)]
+        fwd = [dijkstra(n, edges, x) for x in range(n)]
+        bwd = [dijkstra(n, edges, x, reverse=True) for x in range(n)]
         for u, v, w in h:
             assert u != v
-            sums = (fwd[u][v] / s, bwd[v][u] / s)
             edge = g.edge_weight(u, v)
             if driver == "parallel":
-                assert min(sums) <= w < math.inf
+                assert min(fwd[u][v], bwd[v][u]) <= w < math.inf
                 assert edge is None or w < edge
             else:
-                assert w in sums
+                assert w in (fwd[u][v], bwd[v][u])
                 assert w != edge

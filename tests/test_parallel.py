@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dirhopset.graph import Graph, augment
+from dirhopset.hopset import Instrumentation
 from dirhopset.parallel import (RoundingScheme, phopset, quantize)
 from dirhopset.params import derive_params
 
@@ -144,17 +145,23 @@ class TestPhopset:
         assert edge_dict(h).get((0, 2)) == 0.0
 
     def test_light_weights_normalised(self):
-        # the hopset of g·s divided by s, s = 1 / the lightest weight
+        # the hopset of g·s divided by s, s = 4 = 2^-e: scales count in
+        # the weight unit 2^e = 1/4, the largest power of two <= 0.3, so
+        # each scale quantizes g and g·s to the same graph, and the
+        # frames, whose d_r are in quantized units, are the same
         rng = random.Random(6)
         edges = [(u, v, rng.choice([0.3, 0.7, 1.1, 2.9]))
                  for u, v, _ in random_edges(20, 60, 1, rng)]
-        s = 1.0 / 0.3
+        s = 4.0
         scaled = Graph(20, [(u, v, w * s) for u, v, w in edges])
+        traces = [Instrumentation(record_frames=True) for _ in range(2)]
         args = dict(delta=0.2, seed=1, beta=4.0, sweeps=2)
-        want = phopset(scaled, practical(20), **args)
-        got = phopset(Graph(20, edges), practical(20), **args)
-        assert len(want) > 0
+        want = phopset(scaled, practical(20), instr=traces[0], **args)
+        got = phopset(Graph(20, edges), practical(20), instr=traces[1],
+                      **args)
+        assert len(want) > 0 and len(traces[0].frames) > 0
         assert edge_dict(got) == {k: w / s for k, w in edge_dict(want).items()}
+        assert traces[1].frames == traces[0].frames
 
     def test_deterministic(self):
         rng = random.Random(3)
