@@ -6,6 +6,7 @@ import random
 from typing import List, Optional, Tuple
 
 from .graph import Graph
+from .rng import plain
 
 FAMILIES = ("path", "cycle", "layered-dag", "random-gnm", "grid",
             "binary-tree")
@@ -17,6 +18,7 @@ def generate(family: str, n: int, m: Optional[int] = None, W: int = 1,
 
     Weights are uniform integers in [1, W], or exactly 1 when W <= 1.
     """
+    n, m, W, seed = (plain(x) for x in (n, m, W, seed))
     if n < 1:
         raise ValueError("n must be >= 1")
     if m is not None and m < 0:

@@ -12,12 +12,13 @@ once is never built.
 
 Every search on a driver call's root graph is batched, through the
 ``SearchMemo`` of one ``ShortcutSink`` that lives for the call; its
-results are shared, so read-only.  A frame searches from its
-shortcutters first, so that its pivots' searches are memo hits.  Every
-shortcut goes into the sink's ``EdgeSet``, which min-merges it once: a
-full frame's as one (u, v, w) array chunk per shortcutter.  Other frames
-search within themselves and record what they reach; the sink re-prices
-all the records at once on the root graph.
+results are shared, so read-only.  A driver call searches each root
+source once per direction, at its widest radius, before its first scale,
+and a frame from its shortcutters first, so pivots' searches are memo
+hits.  Every shortcut goes into the sink's ``EdgeSet``, which min-merges
+it once: a full frame's as one (u, v, w) array chunk per shortcutter.
+Other frames search within themselves and record what they reach; the
+sink re-prices all the records at once on the root graph.
 """
 from __future__ import annotations
 
@@ -326,29 +327,44 @@ def _run_frame(frame: RecursionFrame, d_r: float, levels: Sequence[int],
             + [(grp, "core") for grp in ordered_groups])
 
 
-def _run_scale(sink: ShortcutSink, params: Params, seed: int, keys: Tuple,
-               radius: float, base: float, instr: Optional[Instrumentation],
-               prefix: str = "") -> None:
-    """One distance scale of a driver on the sink's root graph.
-
-    Draws levels from the stream (seed, prefix + "level", *keys), runs
-    the driver loop's shortcutters out to ``radius``, then the root
-    frame from distance ``base`` when it is > 0, with the streams
-    (seed, prefix + "sigma", *keys, pivot).  The driver loop is skipped
-    when the root frame subsumes it: that frame runs (base >= the
-    lightest positive weight, which is > 0) and searches the same
-    shortcutters at least as far (rho_max * base >= radius).
+def _run_on_root(sink: ShortcutSink, params: Params, seed: int,
+                 scales: Sequence[Tuple[Tuple, float, float]],
+                 instr: Optional[Instrumentation],
+                 prefix: str = "") -> EdgeArrays:
+    """``sink.arrays()`` after a driver's distance scales, each (keys,
+    radius, base), on the sink's root graph, with the streams (seed,
+    prefix + "level", *keys) and (seed, prefix + "sigma", *keys, pivot).
+    Draws every scale's levels, then fetches each root source once per
+    direction at the widest radius its root searches ask: ``radius`` in
+    a driver loop, rho_max * base as a root frame shortcutter and
+    ceil(rho_max) * base >= (max_rho + 1) * base as a root pivot.  Then
+    runs each scale's driver loop, unless its root frame subsumes it
+    (the frame runs, base >= lightest positive weight > 0, and rho_max *
+    base >= radius), then that frame.
     """
-    root = sink.root
-    levels = assign_levels(
-        root.n, params, rngmod.stream(seed, prefix + "level", *keys))
-    if radius > params.rho_max * base or base < root.min_positive_weight:
-        _run_shortcutters(sink, sink.full, sink.memo, [
-            v for v in range(root.n) if levels[v] <= params.L], radius)
-    if base > 0:
-        hs_recurse(RecursionFrame(sink.full, base, 0, "root"), levels,
-                   params, lambda gid: rngmod.stream(
-                       seed, prefix + "sigma", *keys, gid), sink, instr)
+    root, L, seed = sink.root, params.L, rngmod.plain(seed)
+    low, runs, reach = root.min_positive_weight, [], np.zeros(root.n)
+    for keys, radius, base in scales:
+        levels = assign_levels(root.n, params, rngmod.stream(
+            seed, prefix + "level", *keys))
+        loop, frame = radius > params.rho_max * base or base < low, base >= low
+        runs.append((levels, loop, frame))
+        lv, d0 = np.array(levels), base if frame else 0.0
+        for who, r in ((lv <= L, max(radius * loop, params.rho_max * d0)),
+                       (lv == 0, math.ceil(params.rho_max) * d0)):
+            reach[who] = np.maximum(reach[who], r)
+    sources = np.flatnonzero(reach)  # those a root search starts from
+    for direction in (FORWARD, BACKWARD):
+        sink.memo.fetch(sources.tolist(), reach[sources].tolist(), direction)
+    for (keys, radius, base), (levels, loop, frame) in zip(scales, runs):
+        if loop:
+            _run_shortcutters(sink, sink.full, sink.memo, [
+                v for v in range(root.n) if levels[v] <= L], radius)
+        if frame:
+            hs_recurse(RecursionFrame(sink.full, base, 0, "root"), levels,
+                       params, lambda gid: rngmod.stream(
+                           seed, prefix + "sigma", *keys, gid), sink, instr)
+    return sink.arrays()
 
 
 def top_scale(paths: float) -> int:
@@ -402,12 +418,11 @@ def _run_scales(g: Graph, params: Params, seed: int, weighted: bool,
     e = unit_exponent(g)
     default = default_scale_range(g.n, weighted, g.max_weight * 2.0 ** -e)
     lo, hi = check_scales(scale_range or default)
-    sink = ShortcutSink(g)
-    for rep in range(params.repetitions):
-        for j in range(lo, hi + 1):
-            _run_scale(sink, params, seed, (rep, j), 2.0 ** (j + e + 1),
-                       (2.0 ** (j + e)) * (params.k ** (-params.c)), instr)
-    return EdgeSet.from_arrays(*sink.arrays())
+    scales = [((rep, j), 2.0 ** (j + e + 1),
+               (2.0 ** (j + e)) * (params.k ** (-params.c)))
+              for rep in range(params.repetitions) for j in range(lo, hi + 1)]
+    return EdgeSet.from_arrays(*_run_on_root(ShortcutSink(g), params, seed,
+                                             scales, instr))
 
 
 def hopset_unweighted(g: Graph, params: Params, seed: int = 0, *,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .graph import EdgeSet, Graph, augment
 from .hopset import (Instrumentation, ShortcutSink, check_scales,
-                     top_scale, unit_exponent, _run_scale)
+                     top_scale, unit_exponent, _run_on_root)
 from .params import MODE_PAPER, Params
 
 
@@ -139,10 +139,8 @@ def phopset(g: Graph, params: Params, delta: float, seed: int = 0, *,
             qg = quantize(cur, i + e, scheme)
             if qg.graph.m == 0:
                 continue
-            sink = ShortcutSink(qg.graph)
-            _run_scale(sink, params, seed, (sweep, i), shortcut_radius,
-                       recurse_base, instr, prefix="p")
-            u, v, wq = sink.arrays()
+            u, v, wq = _run_on_root(ShortcutSink(qg.graph), params, seed, [
+                ((sweep, i), shortcut_radius, recurse_base)], instr, "p")
             w = wq * scheme.unit
             hopset.extend(u, v, np.where(w < floor, 0.0, w))
     u, v, w = hopset.arrays()

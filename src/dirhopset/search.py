@@ -210,7 +210,8 @@ class SearchMemo:
     the entries <= d, or at any d when it was complete.  Float Dijkstra
     distances within a bound do not depend on the bound, so an answer
     equals a fresh ``bounded_search`` exactly.  Only misses search.
-    Entries from ``search_all`` hold their batched row as sparse arrays,
+    Entries from ``fetch``, which a driver calls once per direction
+    before its first scale, hold their batched row as sparse arrays,
     and answers filtered from them are arrays too.
     """
 
@@ -244,18 +245,15 @@ class SearchMemo:
         keep = x <= d
         return SearchResult(source, d, direction, rows=(v[keep], x[keep]))
 
-    def search_all(self, sources: Sequence[int], d: Bounds,
-                   direction: str = FORWARD) -> List[SearchResult]:
-        """``search`` from each of ``sources`` at its bound in ``d``; the
-        misses go to one ``batched_search``, each at its largest bound."""
-        bounds = list(d) if np.ndim(d) else [d] * len(sources)
+    def fetch(self, sources: Sequence[int], bounds: Sequence[float],
+              direction: str = FORWARD) -> None:
+        """Batch-search the misses, each at its largest bound in ``bounds``."""
         misses: Dict[int, float] = {}
         for s, b in zip(sources, bounds):
             if not self._answers(s, b, direction):
                 misses[s] = max(b, misses.get(s, b))
-        chunks = batched_search(
-            self.graph, list(misses),
-            list(misses.values()) if np.ndim(d) else d, direction) \
+        chunks = batched_search(self.graph, list(misses),
+                                list(misses.values()), direction) \
             if misses else ()
         for block, dist, complete in chunks:
             for s, row, done in zip(block, dist, complete.tolist()):
@@ -264,8 +262,13 @@ class SearchMemo:
                 self._entries[(s, direction)] = (SearchResult(
                     s, misses[s], direction, complete=done, rows=(v, x)),
                     float(x.max()))
-        return [self.search(s, b, direction)
-                for s, b in zip(sources, bounds)]
+
+    def search_all(self, sources: Sequence[int], d: Bounds,
+                   direction: str = FORWARD) -> List[SearchResult]:
+        """``search`` from each of ``sources`` at its bound in ``d``."""
+        bounds = list(d) if np.ndim(d) else [d] * len(sources)
+        self.fetch(sources, bounds, direction)
+        return [self.search(s, b, direction) for s, b in zip(sources, bounds)]
 
 
 def _fringe_count(sorted_dmins, rho: int, base: float) -> int:

@@ -9,6 +9,10 @@ pairs and of the frame trace (``Instrumentation(record_frames=True)``).
 The two benchmark workloads' drivers run on three inputs each as well.
 Weighted lines scale the generated weights by 0.25, a power of two;
 lines that start with "x0.3" scale them by 0.3, which is not one.
+Lines that start with "root" build ``weighted`` with two repetitions,
+with a rho_min whose ceil(rho_max) passes rho_max, and with c = 3,
+where the driver loop runs beside the root frame: between them every
+radius that a driver call's up-front root searches take the widest of.
 Lines that start with "cli" build through ``cli.main build`` from a
 config file, with flags over it (``--repetitions``,
 ``--shortcut-levels``, ``--scale-range`` and others), and digest the
@@ -185,6 +189,15 @@ def digests() -> None:
                 tmp, g, "parallel", seed, 0.5, {"L": 1}, delta=0.05,
                 beta=16.0, sweeps=5, scale_range=(5, 6), ratio_bound=2.0),
                 flush=True)
+        for family in ("grid", "path"):  # each kind of root search
+            for seed in SEEDS:
+                g = scaled(generate(family, N, None, 8, seed), 0.25)
+                for overrides in ({"repetitions": 2}, {"rho_min": 3.5},
+                                  {"c": 3}):
+                    print("root", family, seed, "weighted", *(
+                        f"{k}={v}" for k, v in overrides.items()), digest(
+                        tmp, g, "weighted", seed, 0.0, overrides),
+                        flush=True)
         for family in ("grid", "random-gnm"):  # a weight unit of 2^-2
             for seed in SEEDS:
                 for driver in ("weighted", "parallel"):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dirhopset.generate import FAMILIES, generate
@@ -62,3 +63,16 @@ class TestGenerate:
         for fam in FAMILIES:
             g = generate(fam, 16, m=40, W=3, seed=2)
             assert g.n == 16
+
+    @pytest.mark.parametrize("family", ["random-gnm", "layered-dag"])
+    def test_numpy_integers_as_ints(self, family):
+        # the stream is keyed by repr, where np.int64(16) is not 16
+        want = sorted(generate(family, 16, 32, 8, 1).iter_edges())
+        for n, m, W, seed in [(np.int64(16), 32, 8, 1),
+                              (16, np.int32(32), 8, 1),
+                              (16, 32, np.int64(8), 1),
+                              (16, 32, 8, np.int64(1)),
+                              (np.int64(16), np.int64(32), np.uint8(8),
+                               np.int16(1))]:
+            assert sorted(generate(family, n, m, W, seed).iter_edges()) \
+                == want

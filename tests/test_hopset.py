@@ -1,11 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dirhopset import rng as rngmod
 from dirhopset import search as searchmod
+from dirhopset.generate import generate
 from dirhopset.graph import EdgeSet, Graph, induce
 from dirhopset.hopset import (Instrumentation, RecursionFrame, ShortcutSink,
                               assign_levels, default_scale_range,
@@ -321,6 +323,70 @@ class TestDrivers:
         h = build(Graph(80, random_edges(80, 240, 8, rng)))
         assert len(h) > 0
         assert calls["root"] == 0 and calls["frame"] > 0
+
+    @pytest.mark.parametrize("build", [
+        lambda g, p, seed, instr: hopset_weighted(g, p, seed, instr=instr),
+        lambda g, p, seed, instr: hopset_unweighted(g, p, seed, instr=instr),
+        lambda g, p, seed, instr: phopset(g, p, 0.1, seed, beta=6.0,
+                                          sweeps=2, instr=instr)],
+        ids=["weighted", "unweighted", "parallel"])
+    def test_numpy_seed_as_int(self, build):
+        # the streams are keyed by repr, where np.int64(1) is not 1; the
+        # frame traces show the level and sigma draws
+        g = generate("random-gnm", 40, 120, 1, 3)
+        got = []
+        for seed in (1, np.int64(1), np.int32(1), np.uint16(1)):
+            instr = Instrumentation(record_frames=True)
+            got.append((build(g, practical(40), seed, instr), instr.frames))
+        assert len(got[0][0]) > 0 and len(got[0][1]) > 0
+        assert all(x == got[0] for x in got[1:])
+
+    @pytest.mark.parametrize("case", [
+        (family, "weighted", overrides, {}) for overrides in (
+            {}, {"rho_min": 3.5}, {"repetitions": 2}, {"c": 3})
+        for family in ("random-gnm", "grid", "path")] + [
+        # the top scale's rows are incomplete: its pivots ask the most
+        ("path", "weighted", {"rho_min": 3.5}, {"scale_range": (0, 2)}),
+        ("grid", "unweighted", {}, {})], ids=lambda c: "-".join(
+            [c[0], c[1]] + [f"{k}={v}".replace(" ", "")
+                            for k, v in {**c[2], **c[3]}.items()]))
+    def test_root_sources_searched_once(self, monkeypatch, case):
+        # a driver call searches each root source once per direction, at
+        # its widest radius, before its first scale: later root searches
+        # are memo hits, but for the re-pricing in ShortcutSink.arrays
+        family, driver, overrides, kw = case
+        g = generate(family, 64, 192 if family == "random-gnm" else None,
+                     8 if driver == "weighted" else 1, 5)
+        batched, bounded, in_arrays = [], [], []
+        batched_search = searchmod.batched_search
+        bounded_search = searchmod.bounded_search
+        arrays = ShortcutSink.arrays
+
+        def batching(graph, sources, d, direction="forward"):
+            if graph is g and not in_arrays:
+                batched.append((direction, list(sources)))
+            return batched_search(graph, sources, d, direction)
+
+        def searching(graph, source, d, direction="forward"):
+            if graph is g:
+                bounded.append(source)
+            return bounded_search(graph, source, d, direction)
+
+        def repricing(sink):
+            in_arrays.append(True)
+            try:
+                return arrays(sink)
+            finally:
+                in_arrays.pop()
+
+        monkeypatch.setattr(searchmod, "batched_search", batching)
+        monkeypatch.setattr(searchmod, "bounded_search", searching)
+        monkeypatch.setattr(ShortcutSink, "arrays", repricing)
+        run = hopset_weighted if driver == "weighted" else hopset_unweighted
+        assert len(run(g, practical(64, **overrides), 1, **kw)) > 0
+        assert [d for d, _ in batched] == ["forward", "backward"]
+        assert all(len(set(s)) == len(s) <= g.n for _, s in batched)
+        assert bounded == []
 
     def test_driver_pass_emits_at_c20(self):
         # at c=20 every frame stops at once, so each shortcut comes from

@@ -441,3 +441,14 @@ class TestSearchMemo:
         assert len(batches) == 1
         memo.search_all([3, 2], [1.0, 0.5])
         assert batches[1:] == [([3], [1.0])]
+        # fetch batches only the misses, each once at its largest bound,
+        # and answers none; the requests it covers are then hits
+        assert memo.fetch([4, 2, 4, 0], [1.0, 3.0, 2.5, 9.0]) is None
+        assert batches[2:] == [([4, 2], [2.5, 3.0])]
+        got = memo.search_all([4, 2, 4], [2.5, 3.0, 1.0])
+        assert [r.reached for r in got] == [
+            {4: 0.0, 5: 1.0}, {2: 0.0, 3: 1.0, 4: 2.0, 5: 3.0},
+            {4: 0.0, 5: 1.0}]
+        memo.fetch([0, 4, 2], [100.0, 100.0, 2.0])  # complete or within
+        memo.fetch([], [])
+        assert len(batches) == 3
