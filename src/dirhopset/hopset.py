@@ -7,8 +7,9 @@ level is within L of the depth act as shortcutters and emit weighted
 shortcut edges.  Fringe vertices around each pivot's search boundary are
 replicated into a dedicated child frame.  A frame is a vertex subset of
 the driver call's root graph and keeps the root's ids throughout.  The
-recursion runs a level at a time; a child frame that would return at
-once is never built.
+recursion runs a level at a time, and partitions all frames of a level
+in one numpy pass; a child frame that would return at once is never
+built.
 
 Every search on a driver call's root graph is batched, through the
 ``SearchMemo`` of one ``ShortcutSink`` that lives for the call; its
@@ -27,7 +28,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .graph import (EdgeArrays, EdgeSet, Graph, InducedSubgraph,
                     cut_frames, induce)
 from .params import Params
 from .search import (BACKWARD, FORWARD, SearchMemo, SearchResult,
-                     select_radius_with_searches)
+                     choose_radii, draw_interval)
 
 
 def assign_levels(n: int, params: Params, rng: random.Random) -> List[int]:
@@ -223,11 +224,13 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
                instr: Optional[Instrumentation] = None) -> None:
     """Process one frame and its subtree of fringe and core children, a
     level at a time, each level's frames in preorder (the order of a
-    depth-first recursion).  Shortcuts go to ``sink``, a sink of the
-    frame's root graph.  A level's children are cut from the root graph
-    in one pass (``cut_frames``); a child with no positive edge within
-    its d_r would return at once and is never built.  ``instr.frames``
-    gets the subtree's traces in preorder.
+    depth-first recursion): each runs its shortcutters and searches
+    (``_run_frame``), then ``_partition_level`` partitions them all.
+    Shortcuts go to ``sink``, a sink of the frame's root graph.  A
+    level's children are cut from the root graph in one pass
+    (``cut_frames``); a child with no positive edge within its d_r would
+    return at once and is never built.  ``instr.frames`` gets the
+    subtree's traces in preorder.
     """
     base, r = frame.base, frame.level
     d_r = _frame_distance(base, r, params)
@@ -236,12 +239,13 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
     first = len(instr.frames) if instr is not None else 0
     level, paths = [((), frame)], []  # a frame's path: its child indices
     while level:
-        parts = []  # (path, kind, vertices) of each child, in preorder
-        for path, f in level:
-            paths.append(path)
-            parts += [(path + (i,), kind, part) for i, (part, kind) in
-                      enumerate(_run_frame(f, d_r, levels, params,
-                                           sigma_rng, sink, instr))]
+        children = _partition_level([f for _, f in level], [
+            _run_frame(f, d_r, levels, params, sigma_rng, sink, instr)
+            for _, f in level], d_r, r >= params.max_level, instr)
+        parts = [(path + (i,), kind, part)  # each child, in preorder
+                 for (path, _), kids in zip(level, children)
+                 for i, (part, kind) in enumerate(kids)]
+        paths += [path for path, _ in level]
         r += 1
         d_r = _frame_distance(base, r, params)
         subs = cut_frames(frame.sub.parent, [p for _, _, p in parts], d_r)
@@ -256,75 +260,108 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
 def _run_frame(frame: RecursionFrame, d_r: float, levels: Sequence[int],
                params: Params, sigma_rng: SigmaRng, sink: ShortcutSink,
                instr: Optional[Instrumentation]) -> List[Tuple]:
-    """Process one frame of distance unit ``d_r``, searching through the
-    sink's root memo if it is full, else through a memo of its own, and
-    return its children's (vertices, kind): fringe sets, then core
-    groups, each ascending; none at the last level."""
-    sub = frame.sub
-    r = frame.level
-    trace: Optional[FrameTrace] = None
+    """Start a frame's trace, run its shortcutters, and return each of
+    its pivots' (pivot, sigma, least candidate, candidate count, forward
+    and backward searches to (largest candidate + 1) * d_r), ascending;
+    through the sink's root memo if the frame is full, else its own."""
+    sub, r = frame.sub, frame.level
+    ids = sub.global_ids
+    memo = sink.memo if sub.is_full else SearchMemo(sub)
+    shortcutters = [v for v in ids if levels[v] <= r + params.L]
+    if instr is not None and instr.record_frames:
+        instr.frames.append(FrameTrace(
+            level=r, kind=frame.kind, d_r=d_r, vertices=list(ids),
+            shortcutters=shortcutters))
+    _run_shortcutters(sink, sub, memo, shortcutters, params.rho_max * d_r)
+    draws = []
+    for p in ids:
+        if levels[p] == r:
+            sigma, candidates = draw_interval(params, sigma_rng(p))
+            bound = (candidates[-1] + 1) * d_r
+            draws.append((p, sigma, candidates[0], len(candidates),
+                          memo.search(p, bound, FORWARD),
+                          memo.search(p, bound, BACKWARD)))
+    return draws
+
+
+def _split(values: np.ndarray, key: np.ndarray, count: int) -> List[List]:
+    """``values`` as ``count`` lists, list i the values whose ``key``, an
+    ascending array, is i."""
+    cut = np.searchsorted(key, np.arange(count + 1)).tolist()
+    values = values.tolist()
+    return [values[a:b] for a, b in zip(cut, cut[1:])]
+
+
+def _partition_level(frames: Sequence[RecursionFrame],
+                     draws: Sequence[List[Tuple]], d_r: float, last: bool,
+                     instr: Optional[Instrumentation]) -> List[List[Tuple]]:
+    """Partition the frames of a level of unit ``d_r`` in one numpy pass
+    over their ``_run_frame`` draws.  ``choose_radii`` picks each pivot
+    p's rho; p labels its frame's vertices within rho * d_r forward (p,
+    "D") and backward (p, "A"), coded 2p + 1 and 2p to keep that order.
+    X holds those labelled both ways by one pivot; the rest of a frame
+    groups by label set, in sorted label tuple order.  Labels are kept
+    per position in the level, so per frame.  Fills ``instr`` and the
+    frames' traces, the last ones.  Returns each frame's children
+    (vertices, kind): nonempty fringe sets, then core groups, each
+    ascending; none at the ``last`` level."""
+    n, r = frames[0].sub.parent.n, frames[0].level
+    pivot, sigma, first, count, fwd, bwd = list(zip(
+        *(d for ds in draws for d in ds))) or [()] * 6
+    rho, size, (j, v, fd, bd, dmin) = choose_radii(
+        np.array(first, np.int64), np.array(count, np.int64), d_r, fwd, bwd)
+    with np.errstate(over="ignore"):  # inf, as in Python's floats
+        lo, radius, hi = ((rho + t) * d_r for t in (-1, 0, 1))
+    des, anc = fd <= radius[j], bd <= radius[j]
+    sizes = [len(f.sub.global_ids) for f in frames]
+    ids = np.fromiter(chain.from_iterable(f.sub.global_ids for f in frames),
+                      np.int64, sum(sizes))
+    frame_of = np.repeat(np.arange(len(frames)), sizes)
+    owner = np.repeat(np.arange(len(frames)), [len(ds) for ds in draws])
+    pos = np.searchsorted(frame_of * n + ids, owner[j] * n + v)
+    x_flag = np.zeros(len(ids), bool)
+    x_flag[pos[des & anc]] = True
+    # the X-free labelled positions' label tuples; a position's rows
+    # ascend by pivot, so by code
+    lab = np.flatnonzero((des | anc) & ~x_flag[pos])
+    at = np.argsort(pos[lab], kind="stable")
+    code = (2 * np.array(pivot, np.int64)[j[lab]] + des[lab])[at].tolist()
+    lab = pos[lab][at]
+    cut = np.flatnonzero(np.diff(lab, prepend=-1)).tolist() + [len(lab)]
+    sets = [tuple(code[a:b]) for a, b in zip(cut, cut[1:])]
+    names = {s: i for i, s in enumerate(sorted(set(sets)), 1)}  # () is 0
+    rank = np.zeros(len(ids), np.int64)
+    rank[lab[cut[:-1]]] = [names[s] for s in sets]
+    free = np.flatnonzero(~x_flag)
+    key, group = np.unique(frame_of[free] * (len(names) + 1) + rank[free],
+                           return_inverse=True)
+    at = np.argsort(group, kind="stable")
+    groups = _split(ids[free][at], group[at], len(key))
+    fringe = (lo[j] < dmin) & (dmin <= hi[j])
+    fringes = _split(v[fringe], j[fringe], len(pivot))
+    group_cut, pivot_cut = (np.searchsorted(a, np.arange(len(frames) + 1))
+                            .tolist() for a in (key // (len(names) + 1),
+                                                owner))
     if instr is not None:
         lvl = instr._level(r)
-        lvl["subproblem_count"] += 1
-        if instr.record_frames:
-            trace = FrameTrace(level=r, kind=frame.kind, d_r=d_r,
-                               vertices=list(sub.global_ids))
-            instr.frames.append(trace)
-
-    memo = sink.memo if sub.is_full else SearchMemo(sub)
-    ids = sub.global_ids
-    shortcutters = [v for v in ids if levels[v] <= r + params.L]
-    _run_shortcutters(sink, sub, memo, shortcutters, params.rho_max * d_r)
-    pivots = [v for v in ids if levels[v] == r]
-    # per vertex, its (pivot, direction) labels; X: labelled both ways
-    labels: Dict[int, Set[Tuple[int, str]]] = {v: set() for v in ids}
-    x_flag: Set[int] = set()
-    fringe_sets: List[List[int]] = []
-
-    for p in pivots:
-        choice, fwd, bwd, dmin = select_radius_with_searches(
-            memo.graph, p, d_r, params, sigma_rng(p), memo)
-        rho = choice.rho
-        radius = rho * d_r
-        des = {v for v, d in fwd.reached.items() if d <= radius}
-        anc = {v for v, d in bwd.reached.items() if d <= radius}
-        for v in des:
-            labels[v].add((p, "D"))
-        for v in anc:
-            labels[v].add((p, "A"))
-        x_flag.update(des & anc)
-        lo, hi = (rho - 1) * d_r, (rho + 1) * d_r
-        fringe = sorted([v for v, d in dmin.items() if lo < d <= hi])
-        if fringe:
-            fringe_sets.append(fringe)
-        if instr is not None:
-            lvl = instr._level(r)
-            lvl["pivot_count"] += 1
-            lvl["max_related_set"] = max(lvl["max_related_set"], len(dmin))
-            lvl["fringe_sizes"].append(choice.fringe_size)
-        if trace is not None:
-            trace.pivots.append(PivotTrace(
-                pivot=p, sigma=choice.sigma, rho=rho,
-                fringe_size=choice.fringe_size, fringe=fringe,
-                descendants=sorted(des), ancestors=sorted(anc)))
-
-    if trace is not None:
-        trace.shortcutters = shortcutters
-        trace.x_vertices = sorted(x_flag)
-
-    # partition the X-free remainder by exact label set
-    groups: Dict[Tuple, List[int]] = {}
-    for v in ids:
-        if v not in x_flag:
-            groups.setdefault(tuple(sorted(labels[v])), []).append(v)
-    ordered_groups = [groups[k] for k in sorted(groups)]
-    if trace is not None:
-        trace.groups = ordered_groups
-
-    if r >= params.max_level:
-        return []
-    return ([(f, "fringe") for f in fringe_sets]
-            + [(grp, "core") for grp in ordered_groups])
+        lvl["subproblem_count"] += len(frames)
+        lvl["pivot_count"] += len(pivot)
+        lvl["max_related_set"] = max(lvl["max_related_set"], int(
+            np.bincount(j).max(initial=0)))
+        lvl["fringe_sizes"] += size.tolist()
+    if instr is not None and instr.record_frames:
+        des, anc = (_split(v[m], j[m], len(pivot)) for m in (des, anc))
+        xs = _split(ids[x_flag], frame_of[x_flag], len(frames))
+        for f, trace in enumerate(instr.frames[-len(frames):]):
+            trace.pivots = [PivotTrace(
+                pivot[i], sigma[i], int(rho[i]), int(size[i]), fringes[i],
+                des[i], anc[i]) for i in range(*pivot_cut[f:f + 2])]
+            trace.x_vertices = xs[f]
+            trace.groups = groups[group_cut[f]:group_cut[f + 1]]
+    return [[] if last else [(fs, "fringe") for fs in fringes[a:b] if fs]
+            + [(grp, "core") for grp in groups[c:d]]
+            for a, b, c, d in zip(pivot_cut, pivot_cut[1:],
+                                  group_cut, group_cut[1:])]
 
 
 def _run_on_root(sink: ShortcutSink, params: Params, seed: int,

@@ -13,13 +13,15 @@ driver call, quantized graph of ``phopset`` or frame, while the graph
 cannot change.  It keeps a batched search's rows as sparse arrays; a
 ``SearchResult`` builds its ``reached`` dict only when read.  Results
 may be shared between a memo and its callers: read-only.
+
+``choose_radii`` picks many pivots' fringe-minimizing radii at once;
+``select_radius_with_searches`` is its one-pivot case.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -271,49 +273,78 @@ class SearchMemo:
         return [self.search(s, b, direction) for s, b in zip(sources, bounds)]
 
 
-def _fringe_count(sorted_dmins, rho: int, base: float) -> int:
-    # vertices with (rho-1)*base < dmin <= (rho+1)*base
-    hi = bisect_right(sorted_dmins, (rho + 1) * base)
-    lo = bisect_right(sorted_dmins, (rho - 1) * base)
-    return hi - lo
+def draw_interval(params: Params, rng: random.Random) -> Tuple[int, range]:
+    """sigma, drawn from ``rng``, and its candidate radii: the integers
+    in [lo, lo + interval_width), lo = rho_min + 1 + width (sigma - 1)."""
+    sigma = rng.randint(1, params.interval_count)
+    lo = params.rho_min + 1 + params.interval_width * (sigma - 1)
+    return sigma, range(math.ceil(lo), math.ceil(lo + params.interval_width))
+
+
+def choose_radii(first: np.ndarray, count: np.ndarray, base: float,
+                 fwd: Sequence[SearchResult], bwd: Sequence[SearchResult]
+                 ) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
+    """Per pivot j, the first of its candidates rho in [first[j],
+    first[j] + count[j]) with the fewest vertices whose dmin, the lesser
+    of their two distances, has (rho - 1) * base < dmin <= (rho + 1) *
+    base, and that fringe size.  fwd[j] and bwd[j] are its searches, out
+    to (first[j] + count[j]) * base at least.  Also returns the (pivot,
+    vertex, forward distance, backward distance, dmin) rows, sorted by
+    pivot and vertex, inf where unreached.
+    """
+    rows = [res.rows() for res in (*fwd, *bwd)]
+    j = np.repeat(np.tile(np.arange(len(fwd)), 2), [len(v) for v, _ in rows])
+    v = np.concatenate([v for v, _ in rows] or [np.zeros(0, np.int64)])
+    x = np.concatenate([x for _, x in rows] or [np.zeros(0)])
+    ahead = sum(len(v) for v, _ in rows[:len(fwd)])  # the forward rows
+    span = int(v.max(initial=0)) + 1
+    key, at = np.unique(j * span + v, return_inverse=True)
+    fd, bd = np.full(len(key), np.inf), np.full(len(key), np.inf)
+    fd[at[:ahead]], bd[at[ahead:]] = x[:ahead], x[ahead:]
+    j, v, x = key // span, key % span, np.minimum(fd, bd)
+    i = np.ceil(x / base)  # the least i with x <= i * base in floats
+    while (low := (i - 1) * base >= x).any():
+        i -= low
+    while (high := i * base < x).any():
+        i += high
+    # column c counts the dmins in ((i - 1) * base, i * base] for
+    # i = first + c - 1; column 0, those in no candidate's fringe
+    width = int(count.max(initial=1)) + 2
+    col = i.astype(np.int64) - first[j] + 1
+    col[(col < 1) | (col > count[j] + 1)] = 0
+    per = np.bincount(j * width + col, minlength=len(first) * width)
+    per = per.reshape(len(first), width)
+    size = per[:, 1:-1] + per[:, 2:]  # column t: candidate first + t
+    size[np.arange(width - 2) >= count[:, None]] = len(x) + 1
+    t = size.argmin(axis=1)
+    return first + t, size[np.arange(len(first)), t], (j, v, fd, bd, x)
 
 
 def select_radius_with_searches(
         g: Graph, pivot: int, base_distance: float, params: Params,
         rng: random.Random, memo: Optional[SearchMemo] = None
 ) -> Tuple[RadiusChoice, SearchResult, SearchResult, Dict[int, float]]:
-    """Pick the fringe-minimizing integer scalar in a random subinterval.
+    """Pick the fringe-minimizing integer scalar in a random subinterval:
+    ``choose_radii`` for one pivot.
 
     Returns the choice plus the forward/backward searches out to
     (max candidate + 1) * base_distance and, per vertex either reaches,
-    the lesser of its two distances, so callers can reuse them for
-    labels and fringe sets without re-searching.  Searches go through
-    ``memo`` when one is given; it must be a memo of ``g``.
+    the lesser of its two distances.  Searches go through ``memo`` when
+    one is given; it must be a memo of ``g``.
     """
     if base_distance <= 0:
         raise ValueError("base distance must be > 0")
-    sigma = rng.randint(1, params.interval_count)
-    lo = params.rho_min + 1 + params.interval_width * (sigma - 1)
-    hi = lo + params.interval_width
-    candidates = range(math.ceil(lo), math.ceil(hi))
-    max_rho = candidates[-1]
-    bound = (max_rho + 1) * base_distance
+    sigma, candidates = draw_interval(params, rng)
+    bound = (candidates[-1] + 1) * base_distance
     memo = memo or SearchMemo(g)
     fwd = memo.search(pivot, bound, FORWARD)
     bwd = memo.search(pivot, bound, BACKWARD)
-    dmin: Dict[int, float] = dict(fwd.reached)
-    for v, dv in bwd.reached.items():
-        if dv < dmin.get(v, math.inf):
-            dmin[v] = dv
-    sorted_dmins = sorted(dmin.values())
-    best_rho = candidates[0]
-    best_size = _fringe_count(sorted_dmins, best_rho, base_distance)
-    for rho in candidates[1:]:
-        size = _fringe_count(sorted_dmins, rho, base_distance)
-        if size < best_size:
-            best_rho, best_size = rho, size
-    return (RadiusChoice(sigma=sigma, rho=best_rho, fringe_size=best_size),
-            fwd, bwd, dmin)
+    rho, size, (_, v, _, _, x) = choose_radii(
+        np.array([candidates[0]]), np.array([len(candidates)]),
+        base_distance, [fwd], [bwd])
+    return (RadiusChoice(sigma=sigma, rho=int(rho[0]),
+                         fringe_size=int(size[0])),
+            fwd, bwd, dict(zip(v.tolist(), x.tolist())))
 
 
 def select_radius(g: Graph, pivot: int, base_distance: float, params: Params,

@@ -13,6 +13,10 @@ Lines that start with "root" build ``weighted`` with two repetitions,
 with a rho_min whose ceil(rho_max) passes rho_max, and with c = 3,
 where the driver loop runs beside the root frame: between them every
 radius that a driver call's up-front root searches take the widest of.
+Lines that start with "level" build ``weighted`` and ``phopset`` on
+grid and path at k = 8, where max_level is 2 and most builds reach
+it, and at an
+interval width of 2.5, where a pivot has 2 or 3 candidate radii.
 Lines that start with "cli" build through ``cli.main build`` from a
 config file, with flags over it (``--repetitions``,
 ``--shortcut-levels``, ``--scale-range`` and others), and digest the
@@ -104,13 +108,14 @@ def digest(tmp: str, g: Graph, driver: str, seed: int, epsilon: float,
     save_graph(g, graph)
     cfg = ExperimentConfig(
         graph_path=graph, seed=seed, epsilon=epsilon, mode="practical",
-        lam=1, overrides=overrides, algorithm=driver,
+        k=kw.get("k", 2), lam=1, overrides=overrides, algorithm=driver,
         delta=kw.get("delta", 0.2), beta=kw.get("beta", 4.0),
         sweeps=kw.get("sweeps", 2), scale_range=kw.get("scale_range"),
         verify="sampled:8", ratio_bound=kw.get("ratio_bound", 4.0),
         out=out, report_path=report)
     run_experiment(cfg)
-    params = derive_params(g.n, epsilon, 2, 1, "practical", **overrides)
+    params = derive_params(g.n, epsilon, kw.get("k", 2), 1, "practical",
+                           **overrides)
     instr = Instrumentation(record_frames=True)
     h = build(g, driver, params, seed, instr, **kw)
     rng = random.Random(seed)
@@ -198,6 +203,18 @@ def digests() -> None:
                         f"{k}={v}" for k, v in overrides.items()), digest(
                         tmp, g, "weighted", seed, 0.0, overrides),
                         flush=True)
+        for family in ("grid", "path"):  # each kind of level partition
+            for seed in SEEDS:
+                g = scaled(generate(family, N, None, 8, seed), 0.25)
+                for driver in ("weighted", "parallel"):
+                    for name, overrides, kw in (
+                            ("k=8", {"L": 1}, {"k": 8}),
+                            ("interval_width=2.5",
+                             {"interval_width": 2.5}, {})):
+                        print("level", family, seed, driver, name, digest(
+                            tmp, g, driver, seed,
+                            0.5 if driver == "parallel" else 0.0,
+                            overrides, **kw), flush=True)
         for family in ("grid", "random-gnm"):  # a weight unit of 2^-2
             for seed in SEEDS:
                 for driver in ("weighted", "parallel"):

@@ -172,7 +172,7 @@ def test_criterion_4_partition_semantics():
             hopset_unweighted(g, params, seed=idx, instr=instr)
         else:
             hopset_weighted(g, params, seed=idx, instr=instr)
-        verify_frames(g, instr.frames)
+        verify_frames(g, instr.frames, params)
         frames += len(instr.frames)
         pivots += sum(len(ft.pivots) for ft in instr.frames)
     assert frames > 0 and pivots > 0

@@ -1,10 +1,13 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dirhopset import hopset as hopsetmod
+from dirhopset import parallel as parallelmod
 from dirhopset import rng as rngmod
 from dirhopset import search as searchmod
 from dirhopset.generate import generate
@@ -89,7 +92,7 @@ class TestHsRecurse:
         levels = [0, 3, 3, 3, 3, 3]
         out, instr = run_frame(g, levels, params, base=1.0, record=True)
         assert instr.frames, "expected at least the root frame"
-        verify_frames(g, instr.frames)
+        verify_frames(g, instr.frames, params)
         dist = [dijkstra(6, edges, s) for s in range(6)]
         for u, v, w in out:
             assert w == dist[u][v]
@@ -112,7 +115,7 @@ class TestHsRecurse:
 
     def test_random_traces(self):
         for edges, g, out, instr in self.random_traces():
-            verify_frames(g, instr.frames)
+            verify_frames(g, instr.frames, practical(g.n))
             dist = {}
             for u, v, w in out:
                 if u not in dist:
@@ -151,6 +154,106 @@ class TestHsRecurse:
         assert by_kind.get("root") == [0]
         for lv in by_kind.get("core", []) + by_kind.get("fringe", []):
             assert lv >= 1
+
+
+@st.composite
+def trace_graphs(draw):
+    """(n, edges) on up to 24 vertices with zero weights, parallel edges
+    and self-loops."""
+    n = draw(st.integers(2, 24))
+    vertex = st.integers(0, n - 1)
+    weight = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+    return n, draw(st.lists(st.tuples(vertex, vertex, weight),
+                            max_size=3 * n))
+
+
+def traced_build(driver, g, params, seed):
+    """The ``Instrumentation`` of a traced build, and the (root graph,
+    first trace) of each of its driver calls: ``phopset``'s frames are
+    frames of its quantized graphs."""
+    instr = Instrumentation(record_frames=True)
+    roots = []
+    run_on_root = hopsetmod._run_on_root
+
+    def spy(sink, *args):
+        roots.append((sink.root, len(instr.frames)))
+        return run_on_root(sink, *args)
+
+    with mock.patch.object(hopsetmod, "_run_on_root", spy), \
+            mock.patch.object(parallelmod, "_run_on_root", spy):
+        if driver == "parallel":
+            phopset(g, params, 0.2, seed, beta=4.0, sweeps=2, instr=instr)
+        else:
+            hopset_weighted(g, params, seed, instr=instr)
+    return instr, roots
+
+
+CYCLE12 = [(i, (i + 1) % 12, 1.0) for i in range(12)] + [
+    (0, 6, 1.0), (0, 6, 2.0), (3, 9, 0.0)]
+
+
+class TestLevelPartition:
+    """The level-at-a-time partition against the oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=trace_graphs(), k=st.sampled_from([2, 8]),
+           width=st.sampled_from([2, 2.5]), c=st.sampled_from([0, 1]),
+           L=st.sampled_from([1, 2]), seed=st.integers(0, 3))
+    # a root frame with no level-0 pivot: one core group of every
+    # vertex, a full-size child frame at level 1 (weighted at seed 7423,
+    # parallel at seed 6690)
+    @example(case=(12, CYCLE12), k=2, width=2, c=0, L=1, seed=7423)
+    @example(case=(12, CYCLE12), k=2, width=2, c=0, L=1, seed=6690)
+    # frames at max_level (2 at n = 48, k = 8) partition, with no children
+    @example(case=(48, [(i, i + 1, 1.0) for i in range(47)]), k=8,
+             width=2, c=0, L=1, seed=0)
+    @pytest.mark.parametrize("driver", ["weighted", "parallel"])
+    def test_traces_verify(self, driver, case, k, width, c, L, seed):
+        n, edges = case
+        g = Graph(n, edges)
+        params = derive_params(n, 0.5, k=k, lam=1, mode="practical", c=c,
+                               L=L, interval_width=width)
+        instr, roots = traced_build(driver, g, params, seed)
+        cut = [first for _, first in roots] + [len(instr.frames)]
+        for (root, _), a, b in zip(roots, cut, cut[1:]):
+            verify_frames(root, instr.frames[a:b], params)
+        for r, lvl in instr.per_level.items():
+            assert lvl["fringe_sizes"] == [
+                pt.fringe_size for ft in instr.frames if ft.level == r
+                for pt in ft.pivots]
+
+    @pytest.mark.parametrize("driver", ["weighted", "parallel"])
+    def test_one_partition_per_level(self, monkeypatch, driver):
+        # each level's frames are partitioned in one call, and no frame
+        # picks its pivots' radii one pivot at a time
+        levels, single = [], []
+        partition = hopsetmod._partition_level
+        select = searchmod.select_radius_with_searches
+
+        def partitioning(frames, *args):
+            levels.append({f.level for f in frames})
+            return partition(frames, *args)
+
+        def selecting(*args, **kwargs):
+            single.append(args[1])
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(hopsetmod, "_partition_level", partitioning)
+        monkeypatch.setattr(searchmod, "select_radius_with_searches",
+                            selecting)
+        monkeypatch.setattr(hopsetmod, "select_radius_with_searches",
+                            selecting, raising=False)
+        rng = random.Random(17)
+        g = Graph(80, random_edges(80, 240, 8, rng))
+        instr, _ = traced_build(driver, g, practical(80), 1)
+        want = []  # per root frame, the levels of its subtree, ascending
+        for ft in instr.frames:
+            if ft.kind == "root":
+                want.append(set())
+            want[-1].add(ft.level)
+        assert single == []
+        assert len(want) > 1 and max(map(max, want)) >= 2
+        assert levels == [{r} for subtree in want for r in sorted(subtree)]
 
 
 class TestDrivers:
