@@ -7,7 +7,8 @@ import sys
 import time
 from typing import List, Optional
 
-from .experiment import (ExperimentConfig, ExperimentError, run_experiment)
+from .experiment import (ExperimentConfig, ExperimentError, run_experiment,
+                         writing)
 from .generate import FAMILIES, generate
 from .graph import save_graph, write_edges
 from .params import MODE_PAPER, MODE_PRACTICAL, OVERRIDES
@@ -103,7 +104,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ExperimentError(f"graph: {exc}") from exc
     if args.out:
-        save_graph(g, args.out)
+        with writing():
+            save_graph(g, args.out)
     else:
         write_edges(sys.stdout, g.iter_edges(), (g.n, g.m))
     return 0
@@ -152,7 +154,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
               f"build_seconds={report.build_seconds:.2f} "
               f"verify_seconds={verify_s:.2f}")
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
+        with writing(), open(args.out_csv, "w", encoding="utf-8") as fh:
             fh.write("n,hopset_size,max_ratio,build_seconds,"
                      "verify_seconds\n")
             for n, size, ratio, build_s, verify_s in rows:

@@ -6,6 +6,7 @@ sorted keys, so repeated runs are byte-identical.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import sys
@@ -26,6 +27,16 @@ from .verify import (VerificationReport, check_claim, check_hopset,
 
 class ExperimentError(RuntimeError):
     """Structured pipeline failure; message says which stage failed."""
+
+
+@contextlib.contextmanager
+def writing():
+    """Raise an OSError of the block, a file that cannot be written, as
+    ExperimentError "output: ..."."""
+    try:
+        yield
+    except OSError as exc:
+        raise ExperimentError(f"output: {exc}") from exc
 
 
 @dataclass
@@ -217,7 +228,8 @@ def run_experiment(cfg: ExperimentConfig
         if cfg.algorithm == "parallel":
             sidecar.update({"delta": cfg.delta, "beta": cfg.beta,
                             "sweeps": cfg.sweeps})
-        write_hopset(cfg.out, h, sidecar)
+        with writing():
+            write_hopset(cfg.out, h, sidecar)
 
     if cfg.verify:
         try:
@@ -232,11 +244,12 @@ def run_experiment(cfg: ExperimentConfig
     report.per_level_counters = instr.to_dict()
 
     if cfg.report_path:
-        with open(cfg.report_path, "w", encoding="utf-8") as fh:
+        with writing(), open(cfg.report_path, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
             fh.write("\n")
     if cfg.csv_path:
-        with open(cfg.csv_path, "w", encoding="utf-8", newline="") as fh:
+        with writing(), open(cfg.csv_path, "w", encoding="utf-8",
+                             newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["source", "target", "true_dist", "beta_dist",
                              "ratio"])

@@ -14,10 +14,10 @@ built.
 Every search on a driver call's root graph is batched, through the
 ``SearchMemo`` of one ``ShortcutSink`` that lives for the call; its
 results are shared, so read-only.  A driver call searches each root
-source once per direction, at its widest radius, before its first scale,
-and a frame from its shortcutters first, so pivots' searches are memo
-hits.  Every shortcut goes into the sink's ``EdgeSet``, which min-merges
-it once: a full frame's as one (u, v, w) array chunk per shortcutter.
+source once per direction, at its widest radius, before its first scale;
+each scale runs a root pass of its shortcutters, then its root frame.
+Every shortcut goes into the sink's ``EdgeSet``, which min-merges it
+once: a full frame's pass as one (u, v, w) array chunk per direction.
 Other frames search within themselves and record what they reach; the
 sink re-prices all the records at once on the root graph.
 """
@@ -37,7 +37,7 @@ from .graph import (EdgeArrays, EdgeSet, Graph, InducedSubgraph,
                     cut_frames, induce)
 from .params import Params
 from .search import (BACKWARD, FORWARD, SearchMemo, SearchResult,
-                     choose_radii, draw_interval)
+                     choose_radii, pivot_searches)
 
 
 def assign_levels(n: int, params: Params, rng: random.Random) -> List[int]:
@@ -108,28 +108,48 @@ SigmaRng = Callable[[int], random.Random]
 class ShortcutSink:
     """The shortcut accumulator of one driver call on one root graph.
 
-    Full frames extend the ``EdgeSet`` ``out`` by (u, v, w) arrays.
-    Other frames append (source, reached vertices, maxd, covered)
-    records to ``pending[direction]``, which ``arrays()`` re-prices and
-    adds to ``out``.  Also holds the root graph's search memo and, for
-    each (source, direction), the radius up to which that source's
-    full-frame shortcuts are already emitted (inf once a complete search
-    was emitted).  Every shortcut is an exact root distance, so
-    re-emitting a covered pair could not change the hopset and is
-    skipped, and no heavier than the root edge it parallels, so it is
-    kept only if lighter (``Graph.lighter``).  ``full`` is the frame of
-    the whole root graph.
+    A full frame's pass (``root_pass``) extends the ``EdgeSet`` ``out``
+    by one (u, v, w) array chunk per direction.  Other frames append
+    (source, reached vertices, maxd, covered) records to
+    ``pending[direction]``, which ``arrays()`` re-prices and adds to
+    ``out``.  Also holds the root graph's search memo and ``covered``,
+    per direction each source's radius up to which its root shortcuts
+    are emitted (inf once a complete search was).  Every shortcut is an
+    exact root distance, so re-emitting a covered pair could not change
+    the hopset and is skipped, and no heavier than the root edge it
+    parallels, so it is kept only if lighter (``Graph.lighter``).
     """
 
-    __slots__ = ("root", "full", "out", "pending", "memo", "covered")
+    __slots__ = ("root", "out", "pending", "memo", "covered")
 
     def __init__(self, root: Graph):
         self.root = root
-        self.full = induce(root, range(root.n))
         self.out = EdgeSet()
         self.pending: Dict[str, List[Tuple]] = {}
         self.memo = SearchMemo(root)
-        self.covered: Dict[Tuple[int, str], float] = {}
+        self.covered = {d: np.full(root.n, -np.inf)
+                        for d in (FORWARD, BACKWARD)}
+
+    def root_pass(self, sources: Sequence[int], radius: float) -> None:
+        """Search ``radius`` both ways through the root memo from each of
+        ``sources`` not yet covered out to ``radius``, and emit each
+        direction's rows as one chunk, less self pairs and each source's
+        covered part; then raise those sources' covered radius to
+        ``radius``, or to inf where the search was complete."""
+        sources = np.asarray(sources, np.int64)
+        for direction, covered in self.covered.items():
+            todo = sources[covered[sources] < radius]
+            if not len(todo):
+                continue
+            found = self.memo.search_all(todo.tolist(), radius, direction)
+            rows = [res.rows() for res in found]
+            us = np.repeat(todo, [len(v) for v, _ in rows])
+            vs, ds = (np.concatenate(c) for c in zip(*rows))
+            u, v = (us, vs) if direction == FORWARD else (vs, us)
+            keep = (ds > covered[us]) & (vs != us)
+            self.out.extend(u[keep], v[keep], ds[keep])
+            covered[todo] = np.where([res.complete for res in found],
+                                     np.inf, radius)
 
     def arrays(self) -> EdgeArrays:
         """The shortcuts so far that are lighter than the root edge they
@@ -168,44 +188,16 @@ class ShortcutSink:
         return u[keep], v[keep], w[keep]
 
 
-def _emit_shortcuts(sink: ShortcutSink, sub: InducedSubgraph,
-                    src: int, res: SearchResult, direction: str) -> None:
-    """Emit a shortcutter's shortcuts at exact root distances, less self
-    pairs and covered pairs, for ``sink.arrays()`` to keep those lighter
-    than their root edge.  A full frame's root search row becomes one
-    array chunk; another frame's reach set is recorded for ``arrays()``
-    to re-price, less the vertices within the covered radius, whose root
-    distance is too."""
-    key = (src, direction)
-    covered = sink.covered.get(key, -math.inf)
-    if not sub.is_full:
-        reached, maxd = res.reached, max(res.reached.values())
-        if len(reached) > 1 and maxd > covered:
-            sink.pending.setdefault(direction, []).append((src, [
-                v for v, x in reached.items() if x > covered], maxd, covered))
-        return
-    sink.covered[key] = (math.inf if res.complete
-                         else max(covered, res.bound))
-    vs, ds = res.rows()
-    keep = (ds > covered) & (vs != src)
-    vs, ds = vs[keep], ds[keep]
-    us = np.full(len(vs), src, dtype=np.int64)
-    sink.out.extend(*((us, vs, ds) if direction == FORWARD else (vs, us, ds)))
-
-
-def _run_shortcutters(sink: ShortcutSink, sub: InducedSubgraph,
-                      memo: SearchMemo, shortcutters: Sequence[int],
-                      radius: float) -> None:
-    """Search ``radius`` both ways from each shortcutter through ``memo``,
-    a memo of the frame's graph (batched in a full frame), and emit; a
-    direction the sink already covers out to ``radius`` is skipped."""
-    for direction in (FORWARD, BACKWARD):
-        todo = [s for s in shortcutters
-                if sink.covered.get((s, direction), -math.inf) < radius]
-        found = (memo.search_all(todo, radius, direction) if sub.is_full
-                 else [memo.search(s, radius, direction) for s in todo])
-        for s, res in zip(todo, found):
-            _emit_shortcuts(sink, sub, s, res, direction)
+def _emit_shortcuts(sink: ShortcutSink, src: int, covered: float,
+                    res: SearchResult, direction: str) -> None:
+    """Record a frame shortcutter's reach set for ``sink.arrays()`` to
+    re-price at exact root distances and keep those lighter than their
+    root edge, less self pairs and the vertices within ``covered``, the
+    sink's covered radius of ``src``, whose root distances are emitted."""
+    reached, maxd = res.reached, max(res.reached.values())
+    if len(reached) > 1 and maxd > covered:
+        sink.pending.setdefault(direction, []).append((src, [
+            v for v, x in reached.items() if x > covered], maxd, covered))
 
 
 def _frame_distance(base: float, r: int, params: Params) -> float:
@@ -260,28 +252,31 @@ def hs_recurse(frame: RecursionFrame, levels: Sequence[int],
 def _run_frame(frame: RecursionFrame, d_r: float, levels: Sequence[int],
                params: Params, sigma_rng: SigmaRng, sink: ShortcutSink,
                instr: Optional[Instrumentation]) -> List[Tuple]:
-    """Start a frame's trace, run its shortcutters, and return each of
-    its pivots' (pivot, sigma, least candidate, candidate count, forward
-    and backward searches to (largest candidate + 1) * d_r), ascending;
-    through the sink's root memo if the frame is full, else its own."""
+    """Start a frame's trace, run its shortcutters out to rho_max * d_r,
+    and return each of its pivots' (pivot, *``pivot_searches``),
+    ascending.  A full frame searches the sink's root memo, in one
+    ``root_pass``; another frame searches itself, and records each
+    shortcutter not covered out to the radius (``_emit_shortcuts``)."""
     sub, r = frame.sub, frame.level
     ids = sub.global_ids
-    memo = sink.memo if sub.is_full else SearchMemo(sub)
     shortcutters = [v for v in ids if levels[v] <= r + params.L]
     if instr is not None and instr.record_frames:
         instr.frames.append(FrameTrace(
             level=r, kind=frame.kind, d_r=d_r, vertices=list(ids),
             shortcutters=shortcutters))
-    _run_shortcutters(sink, sub, memo, shortcutters, params.rho_max * d_r)
-    draws = []
-    for p in ids:
-        if levels[p] == r:
-            sigma, candidates = draw_interval(params, sigma_rng(p))
-            bound = (candidates[-1] + 1) * d_r
-            draws.append((p, sigma, candidates[0], len(candidates),
-                          memo.search(p, bound, FORWARD),
-                          memo.search(p, bound, BACKWARD)))
-    return draws
+    radius = params.rho_max * d_r
+    if sub.is_full:
+        memo = sink.memo
+        sink.root_pass(shortcutters, radius)
+    else:
+        memo = SearchMemo(sub)
+        for direction, covered in sink.covered.items():
+            for s, c in zip(shortcutters, covered[shortcutters].tolist()):
+                if c < radius:
+                    res = memo.search(s, radius, direction)
+                    _emit_shortcuts(sink, s, c, res, direction)
+    return [(p, *pivot_searches(memo, p, d_r, params, sigma_rng(p)))
+            for p in ids if levels[p] == r]
 
 
 def _split(values: np.ndarray, key: np.ndarray, count: int) -> List[List]:
@@ -371,34 +366,34 @@ def _run_on_root(sink: ShortcutSink, params: Params, seed: int,
     """``sink.arrays()`` after a driver's distance scales, each (keys,
     radius, base), on the sink's root graph, with the streams (seed,
     prefix + "level", *keys) and (seed, prefix + "sigma", *keys, pivot).
-    Draws every scale's levels, then fetches each root source once per
-    direction at the widest radius its root searches ask: ``radius`` in
-    a driver loop, rho_max * base as a root frame shortcutter and
-    ceil(rho_max) * base >= (max_rho + 1) * base as a root pivot.  Then
-    runs each scale's driver loop, unless its root frame subsumes it
-    (the frame runs, base >= lightest positive weight > 0, and rho_max *
-    base >= radius), then that frame.
+    A scale's root frame runs when base >= the lightest positive weight
+    > 0; let d0 = base then, else 0.  Draws every scale's levels, then
+    fetches each root source once per direction at the widest radius its
+    root searches ask: max(radius, rho_max * d0) as a root shortcutter
+    and ceil(rho_max) * d0 >= (max_rho + 1) * d0 as a root pivot.  Then
+    runs each scale's root pass (``ShortcutSink.root_pass``) of its
+    shortcutters at that first radius, and its root frame, whose own
+    pass of the same shortcutters out to rho_max * d0 is then covered.
     """
     root, L, seed = sink.root, params.L, rngmod.plain(seed)
     low, runs, reach = root.min_positive_weight, [], np.zeros(root.n)
+    full = induce(root, range(root.n))  # each root frame's graph
     for keys, radius, base in scales:
         levels = assign_levels(root.n, params, rngmod.stream(
             seed, prefix + "level", *keys))
-        loop, frame = radius > params.rho_max * base or base < low, base >= low
-        runs.append((levels, loop, frame))
-        lv, d0 = np.array(levels), base if frame else 0.0
-        for who, r in ((lv <= L, max(radius * loop, params.rho_max * d0)),
+        lv, d0 = np.array(levels), base if base >= low else 0.0
+        wide = max(radius, params.rho_max * d0)  # the root pass's radius
+        runs.append((levels, np.flatnonzero(lv <= L), wide))
+        for who, r in ((lv <= L, wide),
                        (lv == 0, math.ceil(params.rho_max) * d0)):
             reach[who] = np.maximum(reach[who], r)
     sources = np.flatnonzero(reach)  # those a root search starts from
     for direction in (FORWARD, BACKWARD):
         sink.memo.fetch(sources.tolist(), reach[sources].tolist(), direction)
-    for (keys, radius, base), (levels, loop, frame) in zip(scales, runs):
-        if loop:
-            _run_shortcutters(sink, sink.full, sink.memo, [
-                v for v in range(root.n) if levels[v] <= L], radius)
-        if frame:
-            hs_recurse(RecursionFrame(sink.full, base, 0, "root"), levels,
+    for (keys, _, base), (levels, shortcutters, radius) in zip(scales, runs):
+        sink.root_pass(shortcutters, radius)
+        if base >= low:
+            hs_recurse(RecursionFrame(full, base, 0, "root"), levels,
                        params, lambda gid: rngmod.stream(
                            seed, prefix + "sigma", *keys, gid), sink, instr)
     return sink.arrays()

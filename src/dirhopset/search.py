@@ -14,8 +14,8 @@ cannot change.  It keeps a batched search's rows as sparse arrays; a
 ``SearchResult`` builds its ``reached`` dict only when read.  Results
 may be shared between a memo and its callers: read-only.
 
-``choose_radii`` picks many pivots' fringe-minimizing radii at once;
-``select_radius_with_searches`` is its one-pivot case.
+``pivot_searches`` draws a pivot's candidate radii and searches to them;
+``choose_radii`` picks many pivots' fringe-minimizing radii at once.
 """
 from __future__ import annotations
 
@@ -273,12 +273,18 @@ class SearchMemo:
         return [self.search(s, b, direction) for s, b in zip(sources, bounds)]
 
 
-def draw_interval(params: Params, rng: random.Random) -> Tuple[int, range]:
-    """sigma, drawn from ``rng``, and its candidate radii: the integers
-    in [lo, lo + interval_width), lo = rho_min + 1 + width (sigma - 1)."""
+def pivot_searches(memo: SearchMemo, pivot: int, base: float,
+                   params: Params, rng: random.Random
+                   ) -> Tuple[int, int, int, SearchResult, SearchResult]:
+    """sigma, drawn from ``rng``, the least and the count of its candidate
+    radii, the integers in [lo, lo + interval_width) for lo = rho_min + 1
+    + width (sigma - 1), and ``pivot``'s forward and backward searches
+    through ``memo`` out to (largest candidate + 1) * base."""
     sigma = rng.randint(1, params.interval_count)
     lo = params.rho_min + 1 + params.interval_width * (sigma - 1)
-    return sigma, range(math.ceil(lo), math.ceil(lo + params.interval_width))
+    first, end = math.ceil(lo), math.ceil(lo + params.interval_width)
+    return (sigma, first, end - first, memo.search(pivot, end * base, FORWARD),
+            memo.search(pivot, end * base, BACKWARD))
 
 
 def choose_radii(first: np.ndarray, count: np.ndarray, base: float,
@@ -334,14 +340,10 @@ def select_radius_with_searches(
     """
     if base_distance <= 0:
         raise ValueError("base distance must be > 0")
-    sigma, candidates = draw_interval(params, rng)
-    bound = (candidates[-1] + 1) * base_distance
-    memo = memo or SearchMemo(g)
-    fwd = memo.search(pivot, bound, FORWARD)
-    bwd = memo.search(pivot, bound, BACKWARD)
+    sigma, first, count, fwd, bwd = pivot_searches(
+        memo or SearchMemo(g), pivot, base_distance, params, rng)
     rho, size, (_, v, _, _, x) = choose_radii(
-        np.array([candidates[0]]), np.array([len(candidates)]),
-        base_distance, [fwd], [bwd])
+        np.array([first]), np.array([count]), base_distance, [fwd], [bwd])
     return (RadiusChoice(sigma=sigma, rho=int(rho[0]),
                          fringe_size=int(size[0])),
             fwd, bwd, dict(zip(v.tolist(), x.tolist())))

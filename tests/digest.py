@@ -11,12 +11,17 @@ Weighted lines scale the generated weights by 0.25, a power of two;
 lines that start with "x0.3" scale them by 0.3, which is not one.
 Lines that start with "root" build ``weighted`` with two repetitions,
 with a rho_min whose ceil(rho_max) passes rho_max, and with c = 3,
-where the driver loop runs beside the root frame: between them every
+where the root pass searches past the root frame: between them every
 radius that a driver call's up-front root searches take the widest of.
 Lines that start with "level" build ``weighted`` and ``phopset`` on
 grid and path at k = 8, where max_level is 2 and most builds reach
 it, and at an
 interval width of 2.5, where a pivot has 2 or 3 candidate radii.
+Lines that start with "full" build ``weighted`` and ``phopset`` on a
+12-cycle with a chord, a parallel edge and a zero-weight edge (the graph
+``CYCLE12`` of tests/test_hopset.py) at k = 2, interval width 2, c = 0
+and L = 1, at seeds where a level-1 frame is the whole graph, so a
+frame below the root runs its shortcutters in a root pass.
 Lines that start with "cli" build through ``cli.main build`` from a
 config file, with flags over it (``--repetitions``,
 ``--shortcut-levels``, ``--scale-range`` and others), and digest the
@@ -66,6 +71,8 @@ FAMILIES = ("random-gnm", "grid", "layered-dag", "path")
 SEEDS = (1, 2, 3)
 DRIVERS = ("unweighted", "weighted", "parallel")
 N = 48
+CYCLE12 = [(i, (i + 1) % 12, 1.0) for i in range(12)] + [
+    (0, 6, 1.0), (0, 6, 2.0), (3, 9, 0.0)]
 
 
 def sha(data) -> str:
@@ -215,6 +222,10 @@ def digests() -> None:
                             tmp, g, driver, seed,
                             0.5 if driver == "parallel" else 0.0,
                             overrides, **kw), flush=True)
+        for driver, seed in (("weighted", 7423), ("parallel", 6690)):
+            print("full", driver, seed, digest(  # a full level-1 frame
+                tmp, Graph(12, CYCLE12), driver, seed, 0.5,
+                {"c": 0, "L": 1, "interval_width": 2}), flush=True)
         for family in ("grid", "random-gnm"):  # a weight unit of 2^-2
             for seed in SEEDS:
                 for driver in ("weighted", "parallel"):

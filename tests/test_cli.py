@@ -458,12 +458,24 @@ class TestMalformedInput:
         (["gen", "--family", "random-gnm", "--n", "5", "--m", "-3"],
          "graph: m must be >= 0, got -3"),
         (["gen", "--family", "layered-dag", "--n", "9", "--m", "-1"],
-         "graph: m must be >= 0, got -1")])
+         "graph: m must be >= 0, got -1"),
+        # outputs into a directory that does not exist
+        (["gen", "--family", "path", "--n", "4", "--out", "{missing}/g.txt"],
+         "output: [Errno 2] No such file or directory: '{missing}/g.txt'"),
+        (["build", "--family", "path", "--n", "4", "--out",
+          "{missing}/h.txt"], "output: [Errno 2]"),
+        (["build", "--family", "path", "--n", "4", "--report",
+          "{missing}/r.json"], "output: [Errno 2]"),
+        (["build", "--family", "path", "--n", "4", "--csv",
+          "{missing}/p.csv"], "output: [Errno 2]"),
+        (["bench", "--family", "path", "--sizes", "4", "--out-csv",
+          "{missing}/b.csv"], "output: [Errno 2]")])
     def test_malformed_flag(self, tmp_path, capsys, argv, fragment):
         # exit 2, one JSON object on stderr, no traceback
         files = {"h": tmp_path / "h.txt", "tiny": tmp_path / "g.txt",
                  "huge": tmp_path / "huge.txt", "empty": tmp_path / "e.txt",
-                 "negative": tmp_path / "n.txt"}
+                 "negative": tmp_path / "n.txt",
+                 "missing": tmp_path / "missing"}
         files["h"].write_text("0 7 100.0\n")
         files["tiny"].write_text("3 2\n0 1 5e-324\n1 2 1.0\n")
         # 1e308 + 1e308 overflows: the path 0 -> 1 -> 2 has no float length

@@ -491,9 +491,68 @@ class TestDrivers:
         assert all(len(set(s)) == len(s) <= g.n for _, s in batched)
         assert bounded == []
 
+    @pytest.mark.parametrize("case", ["gnm", "cycle12"])
+    def test_full_frames_emit_one_chunk_per_direction(self, monkeypatch,
+                                                      case):
+        # a pass over a full frame's shortcutters, each scale's root pass
+        # included, reaches the sink as at most one EdgeSet chunk per
+        # direction; _emit_shortcuts records only other frames' sources
+        if case == "gnm":
+            g, params, seed = (generate("random-gnm", 64, 192, 8, 5),
+                               practical(64), 1)
+        else:  # a full frame at level 1
+            g, params, seed = (Graph(12, CYCLE12), practical(
+                12, c=0, L=1, interval_width=2), 7423)
+        frames, records, scales = [], [], []
+        current = [None]  # [frame, chunks] of the running _run_frame
+        outside = [0]  # chunks emitted outside every frame
+        run_frame, emit = hopsetmod._run_frame, hopsetmod._emit_shortcuts
+        extend, assign = EdgeSet.extend, hopsetmod.assign_levels
+
+        def running(frame, *args):
+            current[0] = [frame, 0]
+            frames.append(current[0])
+            try:
+                return run_frame(frame, *args)
+            finally:
+                current[0] = None
+
+        def extending(self, *cols):
+            if current[0] is None:
+                outside[0] += 1
+            else:
+                current[0][1] += 1
+            return extend(self, *cols)
+
+        def emitting(sink, src, *args):
+            records.append(current[0] and current[0][0])
+            return emit(sink, src, *args)
+
+        def assigning(*args):
+            scales.append(True)
+            return assign(*args)
+
+        monkeypatch.setattr(hopsetmod, "_run_frame", running)
+        monkeypatch.setattr(hopsetmod, "_emit_shortcuts", emitting)
+        monkeypatch.setattr(hopsetmod, "assign_levels", assigning)
+        monkeypatch.setattr(EdgeSet, "extend", extending)
+        assert len(hopset_weighted(g, params, seed)) > 0
+        full = [chunks for frame, chunks in frames if frame.sub.is_full]
+        assert all(chunks <= 2 for chunks in full)
+        assert all(chunks == 0 for frame, chunks in frames
+                   if not frame.sub.is_full)
+        assert 0 < outside[0] <= 2 * len(scales)
+        assert all(frame is not None and not frame.sub.is_full
+                   for frame in records)
+        if case == "gnm":
+            assert records
+        else:
+            assert any(frame.level > 0 and frame.sub.is_full
+                       for frame, _ in frames)
+
     def test_driver_pass_emits_at_c20(self):
         # at c=20 every frame stops at once, so each shortcut comes from
-        # the driver loop's pass, which the root frame no longer subsumes
+        # each scale's root pass, which the root frame no longer subsumes
         g = Graph(12, [(i, i + 1, 1.0) for i in range(11)])
         instr = Instrumentation()
         h = hopset_weighted(g, practical(12, c=20, L=4), 0, instr=instr)
